@@ -1,4 +1,4 @@
-"""Text file open helpers with transparent gzip.
+"""File open helpers with transparent gzip.
 
 Reading sniffs the 0x1f8b prefix instead of trusting the file name;
 writing compresses when the path ends in .gz, with a fixed gzip mtime so
@@ -10,22 +10,33 @@ from __future__ import annotations
 import gzip
 import io
 from contextlib import contextmanager
+from pathlib import Path
+
+
+def file_stem(path) -> str:
+    """File name without its directory, a .gz suffix and one more suffix;
+    output file names are built from it."""
+    name = Path(path).name
+    if name.endswith(".gz"):
+        name = name[:-3]
+    return Path(name).stem or name
+
+
+def open_binary_read(path):
+    """Binary stream of the file's bytes, gunzipped if it is gzip data.
+    Closing the stream closes the file."""
+    with open(path, "rb") as raw:
+        gzipped = raw.read(2) == b"\x1f\x8b"
+    return gzip.GzipFile(path, "rb") if gzipped else open(path, "rb")
 
 
 @contextmanager
 def open_text_read(path):
-    raw = open(path, "rb")
+    text = io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="")
     try:
-        gzipped = raw.read(2) == b"\x1f\x8b"
-        raw.seek(0)
-        stream = gzip.GzipFile(fileobj=raw) if gzipped else raw
-        text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-        try:
-            yield text
-        finally:
-            text.close()
+        yield text
     finally:
-        raw.close()
+        text.close()
 
 
 @contextmanager

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from pathlib import Path
 
 from . import __version__
+from ._fileio import file_stem
 from .errors import InputFormatError
 from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
                            build_flows)
@@ -48,24 +49,37 @@ def _timeout_ms(seconds: float) -> int | None:
     return round(seconds * 1000)
 
 
+def _seconds(text: str) -> float:
+    """A timeout: any number but NaN (0, negative and inf disable it)."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}") from None
+    if math.isnan(seconds):
+        raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}")
+    return seconds
+
+
+def _window_seconds(text: str) -> float:
+    """A split window: finite, and at least 1 ms once rounded to ms."""
+    seconds = _seconds(text)
+    if not math.isfinite(seconds) or round(seconds * 1000) < 1:
+        raise argparse.ArgumentTypeError(
+            f"window must be finite and at least 0.001 seconds, got {text!r}")
+    return seconds
+
+
 def _require_inputs(*paths):
     for p in paths:
         if not os.path.exists(p):
             raise UsageError(f"input path does not exist: {p}")
 
 
-def _stem(path) -> str:
-    name = Path(path).name
-    if name.endswith(".gz"):
-        name = name[:-3]
-    return Path(name).stem or name
-
-
 def _resolve_out(output, input_path, suffix: str) -> str:
     """-o may name a file (used as-is) or an existing directory (the file
     name is derived from the input, like the original tools did)."""
     if os.path.isdir(output):
-        return os.path.join(output, _stem(input_path) + suffix)
+        return os.path.join(output, file_stem(input_path) + suffix)
     return str(output)
 
 
@@ -112,6 +126,7 @@ def _do_extract(pcap_path, out_path, args) -> dict:
             "packets_skipped": reader.skipped,
             "flows_written": rows,
             "out_of_order_packets": counters.get("out_of_order", 0),
+            "skip_reasons": dict(reader.skip_reasons),
         }
     _say(args.quiet,
          f"flowlabel: {summary['packets_decoded']} packets decoded "
@@ -179,8 +194,6 @@ def cmd_label(args) -> int:
 
 def cmd_split(args) -> int:
     _require_inputs(args.input)
-    if args.window <= 0:
-        raise UsageError(f"window must be positive, got {args.window}")
     created = split_by_window(args.input, args.window, args.output)
     if not created:
         _say(args.quiet, f"flowlabel: {args.input} has no data rows; nothing to split")
@@ -191,8 +204,6 @@ def cmd_split(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _require_inputs(args.input, args.classifier)
-    if args.window is not None and args.window <= 0:
-        raise UsageError(f"window must be positive, got {args.window}")
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
 
     tmpdir = os.environ.get("FLOWLABEL_TMPDIR") or None
@@ -221,9 +232,9 @@ def _add_extract_options(p):
     p.add_argument("--mode", choices=[MODE_AGGREGATE, MODE_PER_PACKET],
                    default=MODE_AGGREGATE,
                    help="aggregate packets into flows (default) or emit one flow per packet")
-    p.add_argument("--idle-timeout", type=float, default=30.0, metavar="SECONDS",
+    p.add_argument("--idle-timeout", type=_seconds, default=30.0, metavar="SECONDS",
                    help="cut a flow after this long without a packet (default 30; 0 disables)")
-    p.add_argument("--active-timeout", type=float, default=1800.0, metavar="SECONDS",
+    p.add_argument("--active-timeout", type=_seconds, default=1800.0, metavar="SECONDS",
                    help="cut a flow after this total lifetime (default 1800; 0 disables)")
 
 
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input labeled flow file path, e.g. *_mawilab_flow.csv")
     p.add_argument("-o", "--output", required=True, metavar="OUTDIR",
                    help="output directory path")
-    p.add_argument("-n", "--window", type=float, default=5.0, metavar="SPLITSEC",
+    p.add_argument("-n", "--window", type=_window_seconds, default=5.0, metavar="SPLITSEC",
                    help="time separation in seconds (default 5)")
     p.add_argument("--quiet", action="store_true", help="suppress summaries")
     p.set_defaults(func=cmd_split)
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--classifier", required=True, metavar="LOGCSV")
     p.add_argument("-o", "--output", required=True, metavar="OUT",
                    help="labeled CSV path, or an existing directory")
-    p.add_argument("-n", "--window", type=float, default=None, metavar="SPLITSEC",
+    p.add_argument("-n", "--window", type=_window_seconds, default=None, metavar="SPLITSEC",
                    help="also split the labeled output with this window (seconds)")
     _add_extract_options(p)
     _add_label_options(p)

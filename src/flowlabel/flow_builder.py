@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MODE_AGGREGATE = "aggregate"
 MODE_PER_PACKET = "per-packet"
@@ -19,8 +20,7 @@ DEFAULT_ACTIVE_TIMEOUT_MS = 30 * 60 * 1000
 DEFAULT_REORDER_WINDOW_MS = 1000
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     src_ip: str
     dst_ip: str
     src_port: int
@@ -71,7 +71,7 @@ class AggregationConfig:
     application: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowState:
     key: FlowKey
     seq: int
@@ -110,80 +110,76 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     if cfg.mode not in (MODE_AGGREGATE, MODE_PER_PACKET):
         raise ValueError(f"unknown aggregation mode {cfg.mode!r}")
     per_packet = cfg.mode == MODE_PER_PACKET
-    idle = cfg.idle_timeout_ms
-    active = cfg.active_timeout_ms
+    never = float("inf")
+    idle = never if cfg.idle_timeout_ms is None else cfg.idle_timeout_ms
+    active = never if cfg.active_timeout_ms is None else cfg.active_timeout_ms
     reorder = cfg.reorder_window_ms
     # No flow still active (nor any packet still to come, within tolerance)
     # can end earlier than clock - barrier_lag, so pending records older
     # than that are safe to emit.
-    barrier_lag = reorder if per_packet else (None if idle is None else idle + reorder)
+    barrier_lag = reorder if per_packet else idle + reorder
 
-    flows: dict[FlowKey, _FlowState] = {}
-    active_heap: list = []   # (etime, seq, key), lazily invalidated
+    # Live flows are keyed by plain 5-tuples, which hash and compare equal
+    # to the FlowKey each flow record carries.
+    flows: dict[tuple, _FlowState] = {}
+    # One (etime, seq, key) entry per live flow, pushed when the flow starts
+    # and moved forward only when it surfaces: entries are lower bounds of
+    # their flow's etime, so every flow that ends before the barrier is
+    # still found there.
+    active_heap: list = []
     pending: list = []       # (etime, seq, FlowRecord)
-    clock = None
+    clock = -never
     seq = 0
 
     for p in packets:
-        if clock is None or p.ts_ms > clock:
-            clock = p.ts_ms
-        elif counters is not None and p.ts_ms < clock - reorder:
+        ts, src, dst, sport, dport, proto, ip_len, flags, itype, icode = p
+        if ts > clock:
+            clock = ts
+        elif counters is not None and ts < clock - reorder:
             counters["out_of_order"] = counters.get("out_of_order", 0) + 1
 
         if per_packet:
-            st = _FlowState(
-                key=FlowKey(p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto),
-                seq=seq, stime=p.ts_ms, etime=p.ts_ms, packets=1, bytes=p.ip_len,
-                flags=p.tcp_flags, initial_flags=p.tcp_flags,
-                icmp_type=p.icmp_type, icmp_code=p.icmp_code,
-            )
-            heapq.heappush(pending, (p.ts_ms, seq, _record(st, cfg)))
+            st = _FlowState(FlowKey(src, dst, sport, dport, proto), seq, ts, ts, 1,
+                            ip_len, flags, flags, 0, itype, icode)
+            heapq.heappush(pending, (ts, seq, _record(st, cfg)))
             seq += 1
         else:
-            key = FlowKey(p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto)
+            key = (src, dst, sport, dport, proto)
             st = flows.get(key)
-            if st is not None and (
-                (idle is not None and p.ts_ms - st.etime > idle)
-                or (active is not None and p.ts_ms - st.stime > active)
-            ):
-                del flows[key]
-                heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))
-                st = None
+            if st is not None:
+                if ts - st.etime > idle or ts - st.stime > active:
+                    del flows[key]
+                    heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))
+                    st = None
+                else:
+                    st.packets += 1
+                    st.bytes += ip_len
+                    st.flags |= flags
+                    st.session_flags |= flags
+                    if ts < st.stime:
+                        st.stime = ts
+                    elif ts > st.etime:
+                        st.etime = ts
             if st is None:
-                st = _FlowState(
-                    key=key, seq=seq, stime=p.ts_ms, etime=p.ts_ms, packets=1,
-                    bytes=p.ip_len, flags=p.tcp_flags, initial_flags=p.tcp_flags,
-                    icmp_type=p.icmp_type, icmp_code=p.icmp_code,
-                )
+                flows[key] = _FlowState(FlowKey._make(key), seq, ts, ts, 1, ip_len,
+                                        flags, flags, 0, itype, icode)
+                if barrier_lag != never:
+                    heapq.heappush(active_heap, (ts, seq, key))
                 seq += 1
-                flows[key] = st
-                heapq.heappush(active_heap, (st.etime, st.seq, key))
-            else:
-                st.packets += 1
-                st.bytes += p.ip_len
-                st.flags |= p.tcp_flags
-                st.session_flags |= p.tcp_flags
-                if p.ts_ms < st.stime:
-                    st.stime = p.ts_ms
-                if p.ts_ms > st.etime:
-                    st.etime = p.ts_ms
-                    heapq.heappush(active_heap, (st.etime, st.seq, key))
 
-        if barrier_lag is None:
-            continue
         barrier = clock - barrier_lag
         while active_heap and active_heap[0][0] < barrier:
-            etime, s, key = heapq.heappop(active_heap)
+            _etime, s, key = heapq.heappop(active_heap)
             st = flows.get(key)
-            if st is None or st.seq != s or st.etime != etime:
-                continue   # stale entry; the live one is elsewhere in the heap
-            del flows[key]
-            heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))
+            if st is None or st.seq != s:
+                continue   # the flow it tracked was cut by a timeout already
+            if st.etime < barrier:
+                del flows[key]
+                heapq.heappush(pending, (st.etime, s, _record(st, cfg)))
+            else:
+                heapq.heappush(active_heap, (st.etime, s, key))
         while pending and pending[0][0] < barrier:
             yield heapq.heappop(pending)[2]
-        if len(active_heap) > 64 and len(active_heap) > 4 * len(flows):
-            active_heap = [(st.etime, st.seq, k) for k, st in flows.items()]
-            heapq.heapify(active_heap)
 
     for st in flows.values():
         heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))

@@ -12,7 +12,7 @@ import csv
 from collections import OrderedDict
 from pathlib import Path
 
-from ._fileio import open_text_read, open_text_write
+from ._fileio import file_stem, open_text_read, open_text_write
 from .errors import MalformedRowError, SchemaMismatchError
 from .flow_builder import FlowKey, FlowRecord
 from .labeler import CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, LabeledFlow
@@ -255,14 +255,6 @@ def read_traffic(path):
 _MAX_OPEN_WINDOWS = 64
 
 
-def _input_stem(path) -> str:
-    name = Path(path).name
-    if name.endswith(".gz"):
-        name = name[:-3]
-    stem = Path(name).stem
-    return stem or name
-
-
 class _WindowWriters:
     """Append-mode CSV writers per window, at most _MAX_OPEN_WINDOWS open
     at once so huge window counts cannot exhaust file descriptors."""
@@ -322,7 +314,7 @@ def split_by_window(input_path, window_s: float, outdir) -> list[Path]:
         return []
 
     outdir.mkdir(parents=True, exist_ok=True)
-    writers = _WindowWriters(outdir, _input_stem(input_path))
+    writers = _WindowWriters(outdir, file_stem(input_path))
     try:
         for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
             stime = _parse_time(row[_STIME_COL], row_num)

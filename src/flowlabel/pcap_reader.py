@@ -5,16 +5,24 @@ magics, and transparent gzip input.  Link layers: Ethernet (including
 802.1Q tags), Linux cooked capture, and raw IP.  Frames that are not
 IPv4/IPv6, or whose captured bytes truncate a header we need, are skipped
 and counted rather than treated as fatal.
+
+Records are parsed out of blocks of at least 256 KiB.  The common frame,
+untagged Ethernet carrying a first IPv4 fragment with its whole TCP or UDP
+header, is decoded inline; every other frame goes through the general
+decoder `_decode_frame`, which gives the same result for the common frame.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import socket
 import struct
+import zlib
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._fileio import open_binary_read
 from .errors import NotPcapError, TruncatedFileError, UnsupportedLinkTypeError
 
 # TCP flag bits (RFC 793 + ECN), low bit first.
@@ -63,9 +71,18 @@ _MAGICS = {
 _IPV6_EXT = (0, 43, 60)   # hop-by-hop, routing, destination options
 _IPV6_FRAGMENT = 44
 
+# The fast path's view of an untagged Ethernet frame from the ethertype on:
+# ethertype, version/IHL, total length, flags/fragment offset, protocol,
+# source and destination address.
+_IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB2x4s4s")
+_PORTS = struct.Struct("!HH")
+_FAST_MIN_LEN = 14 + 20   # Ethernet header + minimal IPv4 header
 
-@dataclass(frozen=True)
-class PacketRecord:
+# Bytes buffered per refill; a record cut by a refill is carried over.
+_BLOCK = 256 * 1024
+
+
+class PacketRecord(NamedTuple):
     ts_ms: int
     src_ip: str
     dst_ip: str
@@ -87,18 +104,11 @@ class CaptureReader:
     """
 
     def __init__(self, path):
-        self._fh = None
-        raw = open(path, "rb")
+        self._fh = open_binary_read(path)
         try:
-            if raw.read(2) == b"\x1f\x8b":
-                raw.seek(0)
-                self._fh = gzip.GzipFile(fileobj=raw)
-            else:
-                raw.seek(0)
-                self._fh = raw
             head = self._read_header(24)
         except Exception:
-            (self._fh or raw).close()
+            self._fh.close()
             raise
         magic = _MAGICS.get(head[:4])
         if magic is None:
@@ -114,10 +124,14 @@ class CaptureReader:
             )
         self.path = path
         self.records_read = 0
-        self.decoded = 0
         self.skipped = 0
         self.skip_reasons = Counter()
-        self._iter = None
+        self._read_error = None   # a failed stream read, held back (see _fill)
+        self._packets = None
+
+    @property
+    def decoded(self) -> int:
+        return self.records_read - self.skipped
 
     def _read_header(self, n):
         try:
@@ -140,41 +154,101 @@ class CaptureReader:
         self.close()
         return False
 
+    def _fill(self, rest, need):
+        """`rest` plus further stream bytes, up to at least `need` (and one
+        block) or the end of the stream.
+
+        read1 hands over each chunk as it comes, so a read that fails (a
+        gzip stream that ends early or is corrupt) loses nothing read
+        before it: the error is held in `_read_error` and raised only once
+        the buffered records run out, where reading record by record would
+        have met it.  Chunks are the size buffered record-by-record reads
+        fetch, so gzip data is inflated in the same steps and a corrupt
+        stream yields the same bytes before its error."""
+        parts = [rest]
+        have = len(rest)
+        want = max(need, _BLOCK)
+        while have < want and self._read_error is None:
+            try:
+                chunk = self._fh.read1(io.DEFAULT_BUFFER_SIZE)
+            except (EOFError, OSError, zlib.error) as exc:
+                self._read_error = exc
+                break
+            if not chunk:
+                break
+            parts.append(chunk)
+            have += len(chunk)
+        return b"".join(parts)
+
+    def _short_read(self, detail):
+        """The error for a stream with too few bytes left: a held-back read
+        error if there is one, else a TruncatedFileError saying `detail`."""
+        exc = self._read_error
+        if exc is None:
+            return TruncatedFileError(f"{self.path}: {detail}")
+        if isinstance(exc, EOFError):
+            err = TruncatedFileError(f"{self.path}: compressed stream ends early")
+            err.__cause__ = exc
+            return err
+        return exc
+
     def __iter__(self):
-        rec_hdr = struct.Struct(self._order + "IIII")
+        # one generator per reader, so a second iter() resumes the stream
+        if self._packets is None:
+            self._packets = self._decode_records()
+        return self._packets
+
+    def _decode_records(self):
+        unpack_hdr = struct.Struct(self._order + "IIII").unpack_from
+        unpack_ip = _IPV4_OVER_ETH.unpack_from
+        unpack_ports = _PORTS.unpack_from
+        ntop, af_inet = socket.inet_ntop, socket.AF_INET
+        new_record = tuple.__new__
+        decode = self._decode_frame
+        fast = self.linktype == LINKTYPE_ETHERNET
         div = 1_000_000 if self.nanosecond else 1000
+        buf = b""
+        pos = size = 0
         while True:
-            try:
-                head = self._fh.read(16)
-            except EOFError as exc:   # truncated gzip stream
-                raise TruncatedFileError(f"{self.path}: compressed stream ends early") from exc
-            if not head:
-                return
-            if len(head) < 16:
-                raise TruncatedFileError(f"{self.path}: file ends inside a packet record header")
-            ts_sec, frac, incl_len, _orig = rec_hdr.unpack(head)
-            try:
-                data = self._fh.read(incl_len)
-            except EOFError as exc:
-                raise TruncatedFileError(f"{self.path}: compressed stream ends early") from exc
-            if len(data) < incl_len:
-                raise TruncatedFileError(
-                    f"{self.path}: record claims {incl_len} bytes, only {len(data)} remain"
-                )
+            if size - pos < 16:
+                buf = self._fill(buf[pos:], 16)
+                pos, size = 0, len(buf)
+                if size < 16:
+                    if size == 0 and self._read_error is None:
+                        return
+                    raise self._short_read("file ends inside a packet record header")
+            ts_sec, frac, incl_len, _orig = unpack_hdr(buf, pos)
+            start = pos + 16
+            pos = start + incl_len
+            if pos > size:
+                buf = self._fill(buf[start:], incl_len)
+                start, pos, size = 0, incl_len, len(buf)
+                if size < incl_len:
+                    raise self._short_read(f"record claims {incl_len} bytes, only {size} remain")
             self.records_read += 1
-            rec = self._decode_frame(ts_sec * 1000 + frac // div, data)
+            ts_ms = ts_sec * 1000 + frac // div
+            if fast and incl_len >= _FAST_MIN_LEN:
+                # untagged Ethernet, IPv4 first fragment, whole TCP/UDP header
+                etype, vihl, ip_len, frag, proto, src, dst = unpack_ip(buf, start + 12)
+                if etype == _ETH_IPV4 and 0x45 <= vihl <= 0x4F and not frag & 0x1FFF:
+                    l4 = start + 14 + (vihl & 0x0F) * 4
+                    if proto == PROTO_TCP and pos - l4 >= 20:
+                        sport, dport = unpack_ports(buf, l4)
+                        yield new_record(PacketRecord, (
+                            ts_ms, ntop(af_inet, src), ntop(af_inet, dst), sport, dport,
+                            PROTO_TCP, ip_len, buf[l4 + 13], None, None))
+                        continue
+                    if proto == PROTO_UDP and pos - l4 >= 8:
+                        sport, dport = unpack_ports(buf, l4)
+                        yield new_record(PacketRecord, (
+                            ts_ms, ntop(af_inet, src), ntop(af_inet, dst), sport, dport,
+                            PROTO_UDP, ip_len, 0, None, None))
+                        continue
+            rec = decode(ts_ms, buf[start:pos])
             if rec is None:
                 self.skipped += 1
             else:
-                self.decoded += 1
                 yield rec
-
-    def next_packet(self):
-        """PacketRecord, or None at end of stream (skips are counted, not
-        surfaced)."""
-        if self._iter is None:
-            self._iter = iter(self)
-        return next(self._iter, None)
 
     # -- decoding ----------------------------------------------------------
 

@@ -34,8 +34,13 @@ MAGIC_NANOS = 0xA1B23C4D
 # ---------------------------------------------------------------------------
 # link layer
 
-def ethernet(payload: bytes, ethertype: int = ETH_IPV4, vlan: int | None = None) -> bytes:
+def ethernet(payload: bytes, ethertype: int = ETH_IPV4, vlan: int | None = None,
+             outer_vlan: int | None = None) -> bytes:
+    """Ethernet II frame; `vlan` adds an 802.1Q tag, `outer_vlan` an
+    802.1ad (QinQ) tag in front of it."""
     hdr = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02"
+    if outer_vlan is not None:
+        hdr += struct.pack("!HH", ETH_QINQ, outer_vlan & 0x0FFF)
     if vlan is not None:
         hdr += struct.pack("!HH", ETH_VLAN, vlan & 0x0FFF)
     return hdr + struct.pack("!H", ethertype) + payload
@@ -55,19 +60,23 @@ def arp_request() -> bytes:
 
 def ipv4(src: str, dst: str, proto: int, payload: bytes, *,
          total_length: int | None = None, frag_offset8: int = 0,
-         more_fragments: bool = False, ttl: int = 64) -> bytes:
+         more_fragments: bool = False, ttl: int = 64, options: bytes = b"") -> bytes:
     """IPv4 header per RFC 791.  frag_offset8 is the offset field value
     (units of 8 bytes).  total_length defaults to the real byte length but
-    can be forced higher to model payload-stripped captures."""
+    can be forced higher to model payload-stripped captures.  `options`
+    (a multiple of 4 bytes) raises the header length above 20."""
+    if len(options) % 4:
+        raise ValueError("IPv4 options must be padded to 4-byte words")
+    ihl_bytes = 20 + len(options)
     if total_length is None:
-        total_length = 20 + len(payload)
+        total_length = ihl_bytes + len(payload)
     flags_frag = (0x2000 if more_fragments else 0) | (frag_offset8 & 0x1FFF)
     hdr = struct.pack(
         "!BBHHHBBH4s4s",
-        (4 << 4) | 5, 0, total_length, 0x1234, flags_frag, ttl, proto, 0,
+        (4 << 4) | (ihl_bytes // 4), 0, total_length, 0x1234, flags_frag, ttl, proto, 0,
         socket.inet_aton(src), socket.inet_aton(dst),
     )
-    return hdr + payload
+    return hdr + options + payload
 
 
 def ipv6(src: str, dst: str, next_header: int, payload: bytes, *,

@@ -345,3 +345,66 @@ def test_deterministic_outputs(tmp_path):
     run("extract", "-i", str(pcap), "-o", str(a), "--quiet")
     run("extract", "-i", str(pcap), "-o", str(b), "--quiet")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_extract_stats_skip_reasons(tmp_path):
+    rng = random.Random(5)
+    data, truth = pc.random_trace(rng, 200, arp_every=10)
+    frames = [(1, 0, pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 6, pc.tcp(1, 2, pc.SYN)))[:n])
+              for n in (10, 20, 40)]
+    pcap = tmp_path / "mixed.pcap"
+    # the random trace's records, then three frames cut inside the link,
+    # IP and TCP headers
+    pcap.write_bytes(data + pc.pcap(frames)[24:])
+    stats_path = tmp_path / "stats.jsonl"
+    assert run("extract", "-i", str(pcap), "-o", str(tmp_path / "f.csv"),
+               "--stats", str(stats_path), "--quiet") == 0
+    (summary,) = [json.loads(line) for line in stats_path.read_text().splitlines()]
+    assert summary["packets_decoded"] == len(truth)
+    assert summary["packets_skipped"] == 20 + 3
+    assert summary["skip_reasons"] == {"not IP": 20, "short link header": 1,
+                                       "short IP header": 1, "short transport header": 1}
+    assert sum(summary["skip_reasons"].values()) == summary["packets_skipped"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--idle-timeout", "nan"],
+    ["extract", "--active-timeout", "NaN"],
+    ["extract", "--idle-timeout", "soon"],
+    ["pipeline", "-c", "LOG", "--idle-timeout", "nan"],
+    ["split", "-n", "nan"],
+    ["split", "-n", "0.0001"],
+    ["split", "-n", "inf"],
+    ["split", "-n", "-5"],
+    ["pipeline", "-c", "LOG", "-n", "0.0004"],
+])
+def test_degenerate_numeric_flags_rejected(tmp_path, capsys, argv):
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    argv = [str(log) if a == "LOG" else a for a in argv]
+    assert run(*argv, "-i", str(pcap), "-o", str(tmp_path / "out.csv")) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (message,) = [line for line in err.splitlines() if "error:" in line]
+    assert argv[-2] in message
+    assert set(tmp_path.iterdir()) == {pcap, log}   # nothing written
+
+
+@pytest.mark.parametrize("value", ["-1", "inf"])
+def test_negative_or_infinite_timeout_disables(tmp_path, value):
+    pcap = small_pcap(tmp_path)
+    out = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(out), "--quiet",
+               "--idle-timeout", value, "--active-timeout", value) == 0
+    # without timeouts the 60-second-spaced tuple stays one flow
+    assert len(list(read_traffic(out))) == 4
+
+
+def test_split_smallest_window_accepted(tmp_path):
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    labeled = tmp_path / "labeled.csv"
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(labeled), "--quiet") == 0
+    assert run("split", "-i", str(labeled), "-o", str(tmp_path / "w"), "-n", "0.001",
+               "--quiet") == 0
+    assert len(list((tmp_path / "w").iterdir())) > 1

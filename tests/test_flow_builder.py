@@ -268,3 +268,95 @@ def test_streaming_emission_before_end():
     assert first.packets == 2 and first.etime_ms == 100
     rest = list(it)
     assert sum(r.packets for r in rest) == 200
+
+
+# ---------------------------------------------------------------------------
+# differential test against a naive reference aggregator
+
+def reference_flows(packets, cfg):
+    """Restate the aggregation rules on plain packet lists: each 5-tuple
+    keeps the list of its open flow's packets, in arrival order.  A packet
+    more than the idle timeout after the flow's latest packet, or more
+    than the active timeout after its earliest, closes the flow and starts
+    a new one; once the latest timestamp seen passes a flow's end by idle
+    + reorder window, the flow is closed too.  Returns the records as
+    tuples ordered by (etime, first-seen) and the out-of-order count."""
+    idle, active, reorder = cfg.idle_timeout_ms, cfg.active_timeout_ms, cfg.reorder_window_ms
+    per_packet = cfg.mode == MODE_PER_PACKET
+    open_flows = {}      # key -> (first-seen number, [packets])
+    closed = []
+    clock = None
+    out_of_order = 0
+    for p in packets:
+        if clock is not None and p.ts_ms < clock - reorder:
+            out_of_order += 1
+        clock = p.ts_ms if clock is None else max(clock, p.ts_ms)
+        if per_packet:
+            closed.append((len(closed), [p]))
+            continue
+        key = (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto)
+        flow = open_flows.get(key)
+        if flow is not None:
+            times = [q.ts_ms for q in flow[1]]
+            if ((idle is not None and p.ts_ms - max(times) > idle)
+                    or (active is not None and p.ts_ms - min(times) > active)):
+                closed.append(open_flows.pop(key))
+                flow = None
+        if flow is None:
+            flow = open_flows[key] = (len(closed) + len(open_flows), [])
+        flow[1].append(p)
+        if idle is not None:
+            for k in [k for k, (_n, ps) in open_flows.items()
+                      if max(q.ts_ms for q in ps) < clock - idle - reorder]:
+                closed.append(open_flows.pop(k))
+    closed.extend(open_flows.values())
+    records = []
+    for first_seen, ps in closed:
+        p0 = ps[0]
+        session = 0
+        for q in ps[1:]:
+            session |= q.tcp_flags
+        times = [q.ts_ms for q in ps]
+        records.append((max(times), first_seen, (
+            (p0.src_ip, p0.dst_ip, p0.src_port, p0.dst_port, p0.proto),
+            len(ps), sum(q.ip_len for q in ps), p0.tcp_flags | session,
+            p0.tcp_flags, session, min(times), max(times), p0.icmp_type, p0.icmp_code)))
+    records.sort(key=lambda r: (r[0], r[1]))
+    return [r[2] for r in records], out_of_order
+
+
+def as_tuple(rec):
+    k = rec.key
+    return ((k.src_ip, k.dst_ip, k.src_port, k.dst_port, k.proto), rec.packets, rec.bytes, rec.flags, rec.initial_flags,
+            rec.session_flags, rec.stime_ms, rec.etime_ms, rec.icmp_type, rec.icmp_code)
+
+
+def reordered(rng, packets, max_lag_ms):
+    """Arrival order in which no packet comes more than max_lag_ms behind
+    a packet with a later timestamp."""
+    return sorted(packets, key=lambda p: p.ts_ms + rng.randrange(max_lag_ms + 1))
+
+
+@pytest.mark.parametrize("mode", ["aggregate", MODE_PER_PACKET])
+def test_build_flows_matches_reference_aggregator(mode):
+    rng = random.Random(f"reference-{mode}")
+    timeouts = [(300, 2000), (1500, 8000), (None, 3000), (800, None), (None, None)]
+    for round_no in range(40):
+        idle, active = timeouts[round_no % len(timeouts)]
+        reorder = rng.choice([0, 100, 1000])
+        cfg = AggregationConfig(mode=mode, idle_timeout_ms=idle, active_timeout_ms=active,
+                                reorder_window_ms=reorder)
+        packets = random_packets(rng, rng.randrange(100, 600), max_step=rng.choice([50, 400]))
+        # lags inside the reorder window keep the emission order; longer
+        # ones are counted out of order
+        max_lag = rng.choice([0, reorder, 3 * reorder + 500])
+        arrival = reordered(rng, packets, max_lag)
+        counters = {}
+        got = [as_tuple(rec) for rec in build_flows(arrival, cfg, counters)]
+        want, out_of_order = reference_flows(arrival, cfg)
+        assert counters.get("out_of_order", 0) == out_of_order
+        if max_lag <= reorder:
+            assert out_of_order == 0
+            assert got == want
+        else:
+            assert sorted(got) == sorted(want)

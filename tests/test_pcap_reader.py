@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import gzip
 import random
+import struct
+import zlib
 
 import pytest
 
 import packetcraft as pc
 from flowlabel import NotPcapError, TruncatedFileError, UnsupportedLinkTypeError, open_capture
 from flowlabel.errors import InputFormatError
-from flowlabel.pcap_reader import TCP_ACK, TCP_SYN
+from flowlabel.pcap_reader import TCP_ACK, TCP_SYN, PacketRecord
 
 
 def write(tmp_path, data: bytes, name="trace.pcap"):
@@ -168,7 +170,6 @@ def test_gzip_input(tmp_path):
 
 
 def test_record_claims_more_than_remains(tmp_path):
-    import struct
     data = pc.pcap([]) + struct.pack("<IIII", 1, 0, 100, 100) + b"\x00" * 40
     path = write(tmp_path, data)
     with open_capture(path) as reader:
@@ -339,3 +340,219 @@ def test_payload_truncation_fuzz_skips_cleanly(tmp_path):
         recs = list(reader)
         assert reader.decoded + reader.skipped == reader.records_read == len(frames)
     assert len(recs) == reader.decoded
+
+
+# ---------------------------------------------------------------------------
+# the Ethernet/IPv4/TCP/UDP fast path against the general frame decoder
+
+def differential_frames():
+    v4 = lambda proto, seg, **kw: pc.ipv4("10.4.0.1", "10.4.0.2", proto, seg, **kw)
+    tcp = pc.tcp(4000, 443, TCP_SYN | TCP_ACK)
+    udp = pc.udp(53, 5353, b"\x00" * 12)
+    frames = [
+        pc.ethernet(v4(6, tcp)),
+        pc.ethernet(v4(17, udp)),
+        pc.ethernet(v4(6, tcp, total_length=1500)),
+        pc.ethernet(v4(6, tcp, options=b"\x01\x01\x01\x00")),          # IHL 6
+        pc.ethernet(v4(17, udp, options=b"\x01" * 40)),                # IHL 15
+        pc.ethernet(v4(6, b"\x00" * 24, frag_offset8=10)),             # later fragments
+        pc.ethernet(v4(17, b"\x12\x34" * 12, frag_offset8=0x1000)),
+        pc.ethernet(v4(17, udp, more_fragments=True)),                 # first fragment
+        pc.ethernet(v4(1, pc.icmp(8, 0))),
+        pc.ethernet(v4(1, b"\x00" * 8, frag_offset8=3)),
+        pc.ethernet(v4(47, b"\x00" * 16)),
+        pc.ethernet(v4(6, tcp), vlan=7),
+        pc.ethernet(v4(17, udp), vlan=7, outer_vlan=100),              # QinQ
+        pc.ethernet(pc.ipv6("2001:db8::1", "2001:db8::2", 0, tcp,
+                            ext=pc.ipv6_ext(60, 0) + pc.ipv6_ext(6, 1)), pc.ETH_IPV6),
+        pc.ethernet(pc.ipv6("2001:db8::1", "2001:db8::2", 44, b"\x00" * 16,
+                            ext=pc.ipv6_frag(17, 40)), pc.ETH_IPV6),
+        pc.ethernet(pc.ipv6("2001:db8::1", "2001:db8::2", 58, pc.icmp(128, 0)), pc.ETH_IPV6),
+        pc.ethernet(pc.arp_request(), pc.ETH_ARP),
+    ]
+    ihl4 = bytearray(pc.ethernet(v4(6, tcp)))
+    ihl4[14] = 0x44                                                    # IHL < 5
+    frames.append(bytes(ihl4))
+    version6 = bytearray(pc.ethernet(v4(6, tcp)))
+    version6[14] = 0x65                                                # IPv4 ethertype, version 6
+    frames.append(bytes(version6))
+    # every capture length through the link, IP and transport headers
+    for whole in (pc.ethernet(v4(6, tcp)), pc.ethernet(v4(17, udp)),
+                  pc.ethernet(v4(6, tcp, options=b"\x00" * 8))):
+        frames.extend(whole[:cut] for cut in range(len(whole)))
+    return frames
+
+
+def frames_of(capture: bytes) -> list[bytes]:
+    """The frame bytes of each record of a little-endian pcap."""
+    frames = []
+    off = 24
+    while off < len(capture):
+        incl_len = struct.unpack_from("<I", capture, off + 8)[0]
+        frames.append(capture[off + 16:off + 16 + incl_len])
+        off += 16 + incl_len
+    return frames
+
+
+def test_fast_path_matches_frame_decoder(tmp_path):
+    random_trace, _ = pc.random_trace(random.Random(99), 3000, arp_every=11)
+    frames = differential_frames() + frames_of(random_trace)
+    path = write(tmp_path, pc.pcap([(i, 250, f) for i, f in enumerate(frames)]))
+    with open_capture(path) as fast, open_capture(path) as ref:
+        got = list(fast)
+        want = []
+        for i, frame in enumerate(frames):
+            rec = ref._decode_frame(i * 1000, frame)
+            if rec is not None:
+                want.append(rec)
+        assert got == want
+        assert all(type(rec) is PacketRecord for rec in got)
+        assert fast.records_read == len(frames)
+        assert fast.decoded == len(want)
+        assert fast.skipped == len(frames) - len(want)
+        assert fast.skip_reasons == ref.skip_reasons
+        assert set(ref.skip_reasons) == {"short link header", "not IP", "short IP header",
+                                         "short transport header"}
+
+
+# ---------------------------------------------------------------------------
+# truncated captures: error class, message, and the packets yielded first
+
+def complete_prefix(data: bytes) -> bytes:
+    """The pcap global header plus every whole record at the start of data."""
+    off = 24
+    while off + 16 <= len(data):
+        incl_len = struct.unpack_from("<I", data, off + 8)[0]
+        if off + 16 + incl_len > len(data):
+            break
+        off += 16 + incl_len
+    return data[:off]
+
+
+def read_until_error(path):
+    got = []
+    with open_capture(path) as reader:
+        try:
+            for rec in reader:
+                got.append(rec)
+        except TruncatedFileError as exc:
+            return got, str(exc), reader
+    return got, None, reader
+
+
+def test_plain_truncation_keeps_whole_records(tmp_path):
+    rng = random.Random(4321)
+    data, _ = pc.random_trace(rng, 400, arp_every=9)
+    whole = write(tmp_path, data, "whole.pcap")
+    with open_capture(whole) as reader:
+        everything = list(reader)
+    cuts = sorted(rng.sample(range(24, len(data)), 150))
+    for i, cut in enumerate(cuts):
+        cut_data = data[:cut]
+        path = write(tmp_path, cut_data, f"cut{i}.pcap")
+        got, message, _ = read_until_error(path)
+        prefix = complete_prefix(cut_data)
+        with open_capture(write(tmp_path, prefix, f"prefix{i}.pcap")) as reader:
+            want = list(reader)
+        assert got == want == everything[:len(want)]
+        rest = len(cut_data) - len(prefix)
+        if rest == 0:
+            assert message is None
+        elif rest < 16:
+            assert message == f"{path}: file ends inside a packet record header"
+        else:
+            incl_len = struct.unpack_from("<I", cut_data, len(prefix) + 8)[0]
+            assert message == (f"{path}: record claims {incl_len} bytes, "
+                               f"only {rest - 16} remain")
+
+
+def test_gzip_truncation_keeps_every_recoverable_record(tmp_path):
+    # over two of the decoder's read blocks, so it refills mid-record
+    rng = random.Random(2468)
+    data, _ = pc.random_trace(rng, 8000, arp_every=13)
+    assert len(data) > 2 * 256 * 1024
+    packed = gzip.compress(data, mtime=0)
+    cuts = sorted(rng.sample(range(10, len(packed)), 24)) + [len(packed) - 4, len(packed) - 1]
+    for i, cut in enumerate(cuts):
+        path = write(tmp_path, packed[:cut], f"cut{i}.pcap.gz")
+        recovered = zlib.decompressobj(16 + zlib.MAX_WBITS).decompress(packed[:cut])
+        if len(recovered) < 24:
+            with pytest.raises(NotPcapError):
+                open_capture(path)
+            continue
+        got, message, reader = read_until_error(path)
+        assert message == f"{path}: compressed stream ends early"
+        prefix = complete_prefix(recovered)
+        with open_capture(write(tmp_path, prefix, f"prefix{i}.pcap")) as ref:
+            want = list(ref)
+            assert (reader.records_read, reader.skipped) == (ref.records_read, ref.skipped)
+        assert got == want
+
+
+@pytest.mark.parametrize("damage", ["crc", "trailing garbage"])
+def test_gzip_bad_ending_raises_after_every_record(tmp_path, damage):
+    data, _ = pc.random_trace(random.Random(11), 6000)
+    packed = bytearray(gzip.compress(data, mtime=0))
+    if damage == "crc":
+        packed[-8] ^= 0xFF
+    else:
+        packed += b"not gzip"
+    path = write(tmp_path, bytes(packed), "bad.pcap.gz")
+    with open_capture(write(tmp_path, data, "good.pcap")) as reader:
+        everything = list(reader)
+    got = []
+    with open_capture(path) as reader:
+        with pytest.raises(gzip.BadGzipFile):
+            for rec in reader:
+                got.append(rec)
+    assert got == everything
+
+
+def test_iteration_resumes_where_it_stopped(tmp_path):
+    data, _ = pc.random_trace(random.Random(3), 50)
+    path = write(tmp_path, data)
+    with open_capture(path) as reader:
+        everything = list(reader)
+    with open_capture(path) as reader:
+        head = [next(iter(reader)) for _ in range(5)]
+        assert head + list(reader) == everything
+        assert list(reader) == []
+
+
+def record_by_record(path):
+    """Reference reader: pull each record header and body from the gzip
+    stream with its own read() call, stopping at the first error."""
+    records = []
+    with gzip.open(path, "rb") as fh:
+        try:
+            head = fh.read(24)
+            while True:
+                rec_head = fh.read(16)
+                if len(rec_head) < 16:
+                    return head + b"".join(records), None
+                body = fh.read(struct.unpack_from("<I", rec_head, 8)[0])
+                records.append(rec_head + body)
+        except (EOFError, OSError, zlib.error) as exc:
+            return head + b"".join(records), type(exc)
+
+
+def test_gzip_corruption_fails_after_the_same_records(tmp_path):
+    rng = random.Random(77)
+    data, _ = pc.random_trace(rng, 8000)
+    packed = gzip.compress(data, mtime=0)
+    for i, at in enumerate(sorted(rng.sample(range(100, len(packed) - 600), 12))):
+        bad = bytearray(packed)
+        bad[at:at + 512] = b"\xff" * 512
+        path = write(tmp_path, bytes(bad), f"bad{i}.pcap.gz")
+        prefix, error = record_by_record(path)
+        assert error is not None
+        with open_capture(write(tmp_path, prefix, f"prefix{i}.pcap")) as ref:
+            want = list(ref)
+        got = []
+        with open_capture(path) as reader:
+            with pytest.raises(Exception) as info:
+                for rec in reader:
+                    got.append(rec)
+        assert got == want
+        expected = TruncatedFileError if error is EOFError else error
+        assert type(info.value) is expected
