@@ -22,12 +22,30 @@ def file_stem(path) -> str:
     return Path(name).stem or name
 
 
+class _OwningGzipFile(gzip.GzipFile):
+    """GzipFile that closes the file object it reads from."""
+
+    def close(self):
+        raw = self.fileobj
+        try:
+            super().close()
+        finally:
+            if raw is not None:
+                raw.close()
+
+
 def open_binary_read(path):
     """Binary stream of the file's bytes, gunzipped if it is gzip data.
+    The file is opened once and sniffed with peek(), so pipes work too.
     Closing the stream closes the file."""
-    with open(path, "rb") as raw:
-        gzipped = raw.read(2) == b"\x1f\x8b"
-    return gzip.GzipFile(path, "rb") if gzipped else open(path, "rb")
+    raw = open(path, "rb")
+    try:
+        if raw.peek(2)[:2] == b"\x1f\x8b":
+            return _OwningGzipFile(fileobj=raw, mode="rb")
+        return raw
+    except BaseException:
+        raw.close()
+        raise
 
 
 @contextmanager

@@ -44,7 +44,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _timeout_ms(seconds: float) -> int | None:
-    if seconds <= 0 or seconds == float("inf"):
+    # a timeout too long to count in ms never fires, like inf
+    if seconds <= 0 or not math.isfinite(seconds * 1000):
         return None
     return round(seconds * 1000)
 
@@ -61,11 +62,11 @@ def _seconds(text: str) -> float:
 
 
 def _window_seconds(text: str) -> float:
-    """A split window: finite, and at least 1 ms once rounded to ms."""
+    """A split window: finite in ms, and at least 1 ms once rounded to ms."""
     seconds = _seconds(text)
-    if not math.isfinite(seconds) or round(seconds * 1000) < 1:
+    if not math.isfinite(seconds * 1000) or round(seconds * 1000) < 1:
         raise argparse.ArgumentTypeError(
-            f"window must be finite and at least 0.001 seconds, got {text!r}")
+            f"window must be finite in ms and at least 0.001 seconds, got {text!r}")
     return seconds
 
 

@@ -15,7 +15,6 @@ decoder `_decode_frame`, which gives the same result for the common frame.
 from __future__ import annotations
 
 import gzip
-import io
 import socket
 import struct
 import zlib
@@ -158,19 +157,21 @@ class CaptureReader:
         """`rest` plus further stream bytes, up to at least `need` (and one
         block) or the end of the stream.
 
-        read1 hands over each chunk as it comes, so a read that fails (a
-        gzip stream that ends early or is corrupt) loses nothing read
-        before it: the error is held in `_read_error` and raised only once
-        the buffered records run out, where reading record by record would
-        have met it.  Chunks are the size buffered record-by-record reads
-        fetch, so gzip data is inflated in the same steps and a corrupt
-        stream yields the same bytes before its error."""
+        Each chunk is what the stream's own buffer holds after peek()
+        refills it, so gzip data is inflated in the steps that buffered
+        record-by-record reads take, whatever buffer size the Python
+        version gives GzipFile, and a corrupt stream yields the same bytes
+        before its error.  A read that fails (a gzip stream that ends early
+        or is corrupt) loses nothing read before it: the error is held in
+        `_read_error` and raised only once the buffered records run out,
+        where reading record by record would have met it."""
         parts = [rest]
         have = len(rest)
         want = max(need, _BLOCK)
         while have < want and self._read_error is None:
             try:
-                chunk = self._fh.read1(io.DEFAULT_BUFFER_SIZE)
+                self._fh.peek(1)
+                chunk = self._fh.read1(_BLOCK)
             except (EOFError, OSError, zlib.error) as exc:
                 self._read_error = exc
                 break

@@ -377,6 +377,8 @@ def test_extract_stats_skip_reasons(tmp_path):
     ["split", "-n", "inf"],
     ["split", "-n", "-5"],
     ["pipeline", "-c", "LOG", "-n", "0.0004"],
+    ["split", "-n", "1e306"],
+    ["pipeline", "-c", "LOG", "-n", "1e306"],
 ])
 def test_degenerate_numeric_flags_rejected(tmp_path, capsys, argv):
     pcap = small_pcap(tmp_path)
@@ -390,7 +392,7 @@ def test_degenerate_numeric_flags_rejected(tmp_path, capsys, argv):
     assert set(tmp_path.iterdir()) == {pcap, log}   # nothing written
 
 
-@pytest.mark.parametrize("value", ["-1", "inf"])
+@pytest.mark.parametrize("value", ["-1", "inf", "1e306"])
 def test_negative_or_infinite_timeout_disables(tmp_path, value):
     pcap = small_pcap(tmp_path)
     out = tmp_path / "flows.csv"
