@@ -2,13 +2,17 @@
 
 Reading sniffs the 0x1f8b prefix instead of trusting the file name;
 writing compresses when the path ends in .gz, with a fixed gzip mtime so
-identical inputs produce byte-identical outputs.
+identical inputs produce byte-identical outputs, and replaces the target
+only once it is complete.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import os
+import stat
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,27 +52,42 @@ def open_binary_read(path):
         raise
 
 
-@contextmanager
 def open_text_read(path):
-    text = io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="")
-    try:
-        yield text
-    finally:
-        text.close()
+    """Text stream of the file, gunzipped if need be; a context manager."""
+    return io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="")
+
+
+def _umask() -> int:
+    # read by setting and restoring it: the process's only umask API
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return umask
 
 
 @contextmanager
 def open_text_write(path):
-    raw = open(path, "wb")
+    """Text stream writing `path`, gzipped when the name ends in .gz.  A new
+    or regular file is written under a temp name beside it and renamed
+    over it only on success, so a failed run leaves no partial output; a
+    FIFO, device or symlink (/dev/stdout) is written in place."""
+    path = os.fspath(path)
+    tmp = None
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        raw = open(path, "wb")
+    else:
+        directory, name = os.path.split(path)
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+        raw = open(fd, "wb")
     try:
-        if str(path).endswith(".gz"):
-            stream = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
-        else:
-            stream = raw
-        text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-        try:
-            yield text
-        finally:
-            text.close()
-    finally:
-        raw.close()
+        with raw:
+            stream = (gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+                      if path.endswith(".gz") else raw)
+            with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
+                yield text
+        if tmp is not None:
+            os.chmod(tmp, 0o666 & ~_umask())   # the mode open() would give
+            os.replace(tmp, path)
+    except BaseException:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise

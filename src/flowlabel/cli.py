@@ -1,6 +1,11 @@
 """Command-line interface: extract, label, split, pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 input format error, 3 I/O error.
+extract, label and pipeline compose one generator chain pulled by the
+writer: capture -> build_flows -> label_flows -> write_flows, with the
+log indexed first (extract writes flows unlabeled; label reads them).
+
+Exit codes: 0 success, 1 usage error, 2 input format error (damaged gzip
+input included), 3 I/O error.  A failed run leaves no output file.
 Flag spellings follow the original tools (-i input, -c classifier, -o
 output, -n window seconds, --sec for seconds rendering).
 """
@@ -8,11 +13,12 @@ output, -n window seconds, --sec for seconds rendering).
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import math
 import os
 import sys
-import tempfile
+import zlib
 
 from . import __version__
 from ._fileio import file_stem
@@ -108,68 +114,67 @@ def _write_stats_lines(path, lines):
 
 
 # ---------------------------------------------------------------------------
-# command bodies (shared between the subcommands and pipeline)
+# the chain: packets -> flows -> labeled flows -> rows, pulled by the writer
 
-def _do_extract(pcap_path, out_path, args) -> dict:
+def _unit(args) -> str:
+    return SECONDS if args.sec else MILLISECONDS
+
+
+def _flows(reader, args, counters):
     cfg = AggregationConfig(
         mode=args.mode,
         idle_timeout_ms=_timeout_ms(args.idle_timeout),
         active_timeout_ms=_timeout_ms(args.active_timeout),
     )
-    unit = SECONDS if args.sec else MILLISECONDS
-    counters = {}
-    with open_capture(pcap_path) as reader:
-        flows = build_flows(_progress(reader, args.quiet), cfg, counters)
-        rows = write_traffic(flows, out_path, unit)
-        summary = {
-            "kind": "extract",
-            "packets_decoded": reader.decoded,
-            "packets_skipped": reader.skipped,
-            "flows_written": rows,
-            "out_of_order_packets": counters.get("out_of_order", 0),
-            "skip_reasons": dict(reader.skip_reasons),
-        }
-    _say(args.quiet,
-         f"flowlabel: {summary['packets_decoded']} packets decoded "
-         f"({summary['packets_skipped']} skipped), {rows} flows -> {out_path}")
-    return summary
+    return build_flows(_progress(reader, args.quiet), cfg, counters)
 
 
-def _do_label(flow_csv, log_csv, out_path, args) -> tuple[LabelStats, dict]:
+def _extract_summary(reader, counters, flows: int, args, dest="") -> dict:
+    _say(args.quiet, f"flowlabel: {reader.decoded} packets decoded "
+                     f"({reader.skipped} skipped), {flows} flows{dest}")
+    return {
+        "kind": "extract",
+        "packets_decoded": reader.decoded,
+        "packets_skipped": reader.skipped,
+        "flows_written": flows,
+        "out_of_order_packets": counters.get("out_of_order", 0),
+        "skip_reasons": dict(reader.skip_reasons),
+    }
+
+
+def _load_index(log_csv, args):
+    """The match index of the log, and the log's part of the label record."""
     accepted = set(DEFAULT_ACCEPTED_LABELS)
     if args.accept_notice:
         accepted.add(LABEL_NOTICE)
     log_counters = {}
     entries = parse_log(log_csv, accepted, log_counters)
-    index = build_index(entries)
-    unit = SECONDS if args.sec else MILLISECONDS
+    return build_index(entries), {
+        "log_entries": len(entries),
+        "log_rows_skipped_by_label": log_counters.get("skipped_label", 0),
+    }
 
+
+def _write_labeled(flows, index, log_summary, out_path, args) -> tuple[LabelStats, list]:
+    """Label the flow stream and write it; returns the stats and their lines."""
     stats = LabelStats()
-    labeled = label_flows(read_traffic(flow_csv), index, stats, threads=args.threads)
+    labeled = label_flows(flows, index, stats)
     if args.drop_unsure:
         labeled = (lf for lf in labeled if lf.class_label != CLASS_UNSURE)
-    rows = write_flows(labeled, out_path, unit)
+    rows = write_flows(labeled, out_path, _unit(args))
 
     counts = dict(sorted(stats.class_counts.items()))
     _say(args.quiet,
          f"flowlabel: {stats.rows} flows labeled {counts}, "
          f"{rows} rows -> {out_path}")
-    summary = {
-        "kind": "label",
-        "rows_written": rows,
-        "dropped_unsure": stats.rows - rows,
-        "log_entries": len(entries),
-        "log_rows_skipped_by_label": log_counters.get("skipped_label", 0),
-    }
-    return stats, summary
-
-
-def _stats_lines(stats: LabelStats, summary: dict):
-    yield {"kind": "classes", "counts": dict(stats.class_counts), "rows": stats.rows}
-    yield {"kind": "taxonomies", "counts": dict(stats.taxonomy_counts)}
-    yield {"kind": "l_histogram",
-           "counts": {str(k): v for k, v in stats.l_histogram.items()}}
-    yield summary
+    return stats, [
+        {"kind": "classes", "counts": dict(stats.class_counts), "rows": stats.rows},
+        {"kind": "taxonomies", "counts": dict(stats.taxonomy_counts)},
+        {"kind": "l_histogram",
+         "counts": {str(k): v for k, v in stats.l_histogram.items()}},
+        {"kind": "label", "rows_written": rows, "dropped_unsure": stats.rows - rows,
+         **log_summary},
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,10 @@ def _stats_lines(stats: LabelStats, summary: dict):
 def cmd_extract(args) -> int:
     _require_inputs(args.input)
     out = _resolve_out(args.output, args.input, "_result.data")
-    summary = _do_extract(args.input, out, args)
+    counters = {}
+    with open_capture(args.input) as reader:
+        rows = write_traffic(_flows(reader, args, counters), out, _unit(args))
+        summary = _extract_summary(reader, counters, rows, args, f" -> {out}")
     if args.stats:
         _write_stats_lines(args.stats, [summary])
     return EXIT_OK
@@ -187,9 +195,10 @@ def cmd_extract(args) -> int:
 def cmd_label(args) -> int:
     _require_inputs(args.input, args.classifier)
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
-    stats, summary = _do_label(args.input, args.classifier, out, args)
+    index, log_summary = _load_index(args.classifier, args)
+    _, lines = _write_labeled(read_traffic(args.input), index, log_summary, out, args)
     if args.stats:
-        _write_stats_lines(args.stats, _stats_lines(stats, summary))
+        _write_stats_lines(args.stats, lines)
     return EXIT_OK
 
 
@@ -206,23 +215,19 @@ def cmd_split(args) -> int:
 def cmd_pipeline(args) -> int:
     _require_inputs(args.input, args.classifier)
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
-
-    tmpdir = os.environ.get("FLOWLABEL_TMPDIR") or None
-    fd, tmp = tempfile.mkstemp(prefix="flowlabel_", suffix=".csv", dir=tmpdir)
-    os.close(fd)
-    try:
-        extract_summary = _do_extract(args.input, tmp, args)
-        stats, label_summary = _do_label(tmp, args.classifier, out, args)
-    finally:
-        os.unlink(tmp)
+    index, log_summary = _load_index(args.classifier, args)
+    counters = {}
+    with open_capture(args.input) as reader:
+        stats, lines = _write_labeled(_flows(reader, args, counters), index, log_summary,
+                                      out, args)
+        extract_summary = _extract_summary(reader, counters, stats.rows, args)
 
     if args.window is not None:
         split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
         created = split_by_window(out, args.window, split_dir)
         _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
     if args.stats:
-        _write_stats_lines(args.stats,
-                           [extract_summary, *_stats_lines(stats, label_summary)])
+        _write_stats_lines(args.stats, [extract_summary, *lines])
     return EXIT_OK
 
 
@@ -244,8 +249,8 @@ def _add_label_options(p):
                    help="exclude flows whose best match has only one attribute")
     p.add_argument("--accept-notice", action="store_true",
                    help="also accept log rows labeled notice")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
-                   help="labeling worker threads (output is identical for any N)")
+    # accepted so older command lines still run; labeling is serial
+    p.add_argument("--threads", type=int, metavar="N", help=argparse.SUPPRESS)
 
 
 def _add_common(p):
@@ -322,6 +327,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InputFormatError as exc:
         print(f"flowlabel: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        print(f"flowlabel: damaged gzip input: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:
         print(f"flowlabel: I/O error: {exc}", file=sys.stderr)

@@ -7,16 +7,18 @@ position).  Classes: no match = normal, winner with L=1 = unsure, winner
 with L>1 = anomaly.
 
 MatchIndex holds one hash map per non-empty subset of {dip, sip, dport,
-sport}; an entry lives in the map of exactly its non-null subset, so a
-lookup probes at most fifteen maps instead of scanning the log.
+sport} (tuple space search); an entry lives in the map of exactly its
+non-null subset.  The maps are probed in precedence order, so a lookup
+stops at the first hit and probes at most fifteen maps instead of
+scanning the log.  Labeling is serial and streams: one flow in, one
+labeled flow out.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from operator import attrgetter
 
 from .flow_builder import FlowKey, FlowRecord
 from .mawilab_log import IdsLogEntry, precedence_key, specificity
@@ -25,13 +27,29 @@ CLASS_NORMAL = "normal"
 CLASS_ANOMALY = "anomaly"
 CLASS_UNSURE = "unsure"
 
-# bit positions within a subset mask, most significant first
-_BIT_DIP = 8
-_BIT_SIP = 4
-_BIT_DPORT = 2
-_BIT_SPORT = 1
+# Subset masks of {dip, sip, dport, sport}, bit 8 = dip down to bit 1 =
+# sport, in precedence order: more attributes first, then the higher
+# weight.  An entry's (L, weight) is (popcount, mask) of its own mask, so
+# the first table in this order that holds the flow's projection holds
+# the winner.
+_MASKS = tuple(sorted(range(1, 16), key=lambda m: (m.bit_count(), m), reverse=True))
 
-_ALL_MASKS = tuple(range(1, 16))
+
+def _projection(names):
+    """Getter for the values of `names` as a tuple (a 1-tuple for one)."""
+    get = attrgetter(*names)
+    if len(names) == 1:
+        return lambda obj: (get(obj),)
+    return get
+
+
+def _projections(names):
+    return {m: _projection([n for bit, n in zip((8, 4, 2, 1), names) if m & bit])
+            for m in _MASKS}
+
+
+_ENTRY_PROJECTION = _projections(("dip", "sip", "dport", "sport"))
+_FLOW_PROJECTION = _projections(("dst_ip", "src_ip", "dst_port", "src_port"))
 
 
 @dataclass(frozen=True)
@@ -62,37 +80,12 @@ class LabelStats:
 
 class MatchIndex:
     def __init__(self):
-        self.maps: dict[int, dict[tuple, IdsLogEntry]] = {m: {} for m in _ALL_MASKS}
+        # one table per mask, in precedence order
+        self.maps: dict[int, dict[tuple, IdsLogEntry]] = {m: {} for m in _MASKS}
         self.size = 0
 
     def __len__(self):
         return self.size
-
-
-def _project_entry(entry: IdsLogEntry, mask: int) -> tuple:
-    vals = []
-    if mask & _BIT_DIP:
-        vals.append(entry.dip)
-    if mask & _BIT_SIP:
-        vals.append(entry.sip)
-    if mask & _BIT_DPORT:
-        vals.append(entry.dport)
-    if mask & _BIT_SPORT:
-        vals.append(entry.sport)
-    return tuple(vals)
-
-
-def _project_flow(dip, sip, dport, sport, mask: int) -> tuple:
-    vals = []
-    if mask & _BIT_DIP:
-        vals.append(dip)
-    if mask & _BIT_SIP:
-        vals.append(sip)
-    if mask & _BIT_DPORT:
-        vals.append(dport)
-    if mask & _BIT_SPORT:
-        vals.append(sport)
-    return tuple(vals)
 
 
 def build_index(entries) -> MatchIndex:
@@ -103,7 +96,7 @@ def build_index(entries) -> MatchIndex:
     for entry in entries:
         _, mask = specificity(entry)
         slot = index.maps[mask]
-        vals = _project_entry(entry, mask)
+        vals = _ENTRY_PROJECTION[mask](entry)
         current = slot.get(vals)
         if current is None or precedence_key(entry) > precedence_key(current):
             slot[vals] = entry
@@ -113,19 +106,15 @@ def build_index(entries) -> MatchIndex:
 
 def match_flow(index: MatchIndex, key: FlowKey):
     """Winning IdsLogEntry for this flow's four-tuple, or None.  Only the
-    four attributes take part; key.proto is ignored."""
-    dip, sip, dport, sport = key.dst_ip, key.src_ip, key.dst_port, key.src_port
-    best = None
-    best_key = None
+    four attributes take part; key.proto is ignored.  The tables are
+    probed in precedence order and each holds only the best entry per
+    key, so the first hit wins."""
     for mask, table in index.maps.items():
-        if not table:
-            continue
-        entry = table.get(_project_flow(dip, sip, dport, sport, mask))
-        if entry is not None:
-            k = precedence_key(entry)
-            if best is None or k > best_key:
-                best, best_key = entry, k
-    return best
+        if table:
+            entry = table.get(_FLOW_PROJECTION[mask](key))
+            if entry is not None:
+                return entry
+    return None
 
 
 def assign_class(winner) -> str:
@@ -155,27 +144,11 @@ def label_one(flow: FlowRecord, index: MatchIndex) -> LabeledFlow:
     return _label_with_l(flow, index)[0]
 
 
-def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None, threads: int = 1):
-    """Order-preserving map of label_one over the stream.
-
-    threads > 1 fans chunks out to a thread pool and merges results back
-    in input order; output is identical for any thread count.
-    """
-    if threads <= 1:
-        for flow in flows:
-            labeled, winner_l = _label_with_l(flow, index)
-            if stats is not None:
-                stats.add(labeled, winner_l)
-            yield labeled
-        return
-
-    def run(chunk):
-        return [_label_with_l(f, index) for f in chunk]
-
-    flows = iter(flows)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in pool.map(run, iter(lambda: list(islice(flows, 4096)), [])):
-            for labeled, winner_l in chunk:
-                if stats is not None:
-                    stats.add(labeled, winner_l)
-                yield labeled
+def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None):
+    """label_one over the stream, one flow pulled per labeled flow yielded,
+    in input order; counts each result into `stats` when given."""
+    for flow in flows:
+        labeled, winner_l = _label_with_l(flow, index)
+        if stats is not None:
+            stats.add(labeled, winner_l)
+        yield labeled

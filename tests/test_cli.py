@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import json
 import random
 
@@ -287,23 +288,102 @@ def test_split_rejects_zero_window(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_pipeline_matches_two_step(tmp_path, monkeypatch):
+# one rule more than MIXED_RULE_ROWS: a single-attribute (unsure) rule
+PIPELINE_RULE_ROWS = [*MIXED_RULE_ROWS, ",,,53,ntscUDP,24,0.8,2,anomalous"]
+
+
+@pytest.mark.parametrize("flags, name", [
+    ([], "labeled.csv"),
+    (["--sec"], "labeled.csv"),
+    (["--mode", "per-packet"], "labeled.csv"),
+    (["--drop-unsure"], "labeled.csv"),
+    ([], "labeled.csv.gz"),
+    (["--idle-timeout", "0.5", "--active-timeout", "3"], "labeled.csv"),
+], ids=["default", "sec", "per-packet", "drop-unsure", "gz-output", "timeouts"])
+def test_pipeline_matches_two_step(tmp_path, flags, name):
     pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, PIPELINE_RULE_ROWS)
+    extract_flags = [f for f in flags if f != "--drop-unsure"]
+    label_flags = [f for f in flags if f in ("--sec", "--drop-unsure")]
+
+    two, one = tmp_path / "two_step", tmp_path / "one_step"
+    two.mkdir()
+    one.mkdir()
+    assert run("extract", "-i", str(pcap), "-o", str(two / "flows.csv"), *extract_flags,
+               "--stats", str(two / "extract.jsonl"), "--quiet") == 0
+    assert run("label", "-i", str(two / "flows.csv"), "-c", str(log), "-o", str(two / name),
+               *label_flags, "--stats", str(two / "label.jsonl"), "--quiet") == 0
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(one / name), *flags,
+               "--stats", str(one / "stats.jsonl"), "--quiet") == 0
+
+    assert (one / name).read_bytes() == (two / name).read_bytes()
+    assert (one / "stats.jsonl").read_text() == (
+        (two / "extract.jsonl").read_text() + (two / "label.jsonl").read_text())
+    assert sorted(p.name for p in one.iterdir()) == sorted([name, "stats.jsonl"])
+
+
+def _random_pcap(tmp_path, name="trace.pcap"):
+    data, _truth = pc.random_trace(random.Random(3), 3000)
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
+def test_input_cut_mid_record_leaves_no_output(tmp_path, capsys, command):
+    pcap = _random_pcap(tmp_path)
     log = write_log(tmp_path, MIXED_RULE_ROWS)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "label":
+        # a flow CSV whose last row is cut in the middle
+        cut = tmp_path / "flows.csv"
+        assert run("extract", "-i", str(pcap), "-o", str(cut), "--quiet") == 0
+        text = cut.read_bytes()
+        last_row = text.rstrip(b"\n").rfind(b"\n") + 1
+        cut.write_bytes(text[:(last_row + len(text)) // 2])
+        argv = ["label", "-i", str(cut), "-c", str(log)]
+    else:
+        # a capture whose last record is cut short, after thousands of
+        # flows have been emitted
+        cut = tmp_path / "cut.pcap"
+        cut.write_bytes(pcap.read_bytes()[:-5])
+        argv = [command, "-i", str(cut)] + (["-c", str(log)] if command == "pipeline" else [])
+    assert run(*argv, "-o", str(out / "result.csv"), "--quiet") == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
-    flows_csv = tmp_path / "step1.csv"
-    two_step = tmp_path / "two_step.csv"
-    run("extract", "-i", str(pcap), "-o", str(flows_csv), "--quiet")
-    run("label", "-i", str(flows_csv), "-c", str(log), "-o", str(two_step), "--quiet")
 
-    tmpdir = tmp_path / "scratch"
-    tmpdir.mkdir()
-    monkeypatch.setenv("FLOWLABEL_TMPDIR", str(tmpdir))
-    one_step = tmp_path / "one_step.csv"
-    assert run("pipeline", "-i", str(pcap), "-c", str(log),
-               "-o", str(one_step), "--quiet") == 0
-    assert one_step.read_bytes() == two_step.read_bytes()
-    assert list(tmpdir.iterdir()) == []   # temp flow file cleaned up
+def _damage(data: bytes, how: str) -> bytes:
+    if how == "truncated":
+        return data[:len(data) // 2]
+    if how == "crc-flipped":
+        crc = len(data) - 8      # the trailer is CRC32 then ISIZE
+        return data[:crc] + bytes([data[crc] ^ 0xFF]) + data[crc + 1:]
+    mid = len(data) // 2
+    return data[:mid] + b"\xff" * 600 + data[mid + 600:]
+
+
+@pytest.mark.parametrize("how", ["truncated", "crc-flipped", "deflate-overwritten"])
+@pytest.mark.parametrize("command", ["extract", "label"])
+def test_damaged_gzip_input_is_format_error(tmp_path, capsys, command, how):
+    pcap = _random_pcap(tmp_path)
+    if command == "extract":
+        damaged = tmp_path / "trace.pcap.gz"
+        damaged.write_bytes(_damage(gzip.compress(pcap.read_bytes(), mtime=0), how))
+        argv = ["extract", "-i", str(damaged)]
+    else:
+        damaged = tmp_path / "flows.csv.gz"
+        assert run("extract", "-i", str(pcap), "-o", str(damaged), "--quiet") == 0
+        damaged.write_bytes(_damage(damaged.read_bytes(), how))
+        argv = ["label", "-i", str(damaged), "-c", str(write_log(tmp_path, MIXED_RULE_ROWS))]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(*argv, "-o", str(out / "result.csv"), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("flowlabel: ")
+    assert list(out.iterdir()) == []
 
 
 def test_pipeline_with_split_and_stats(tmp_path):

@@ -34,6 +34,11 @@ def labeled(flow=None, **kw):
     return LabeledFlow(flow=flow or make_flow(), **defaults)
 
 
+def csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def normal(flow=None):
     return LabeledFlow(flow=flow or make_flow(), class_label="normal")
 
@@ -78,7 +83,7 @@ def test_bad_flag_letter():
 def test_anomalous_row_cells(tmp_path):
     path = tmp_path / "out.csv"
     write_flows([labeled()], path)
-    header, row = list(csv.reader(path.open()))
+    header, row = csv_rows(path)
     assert header == list(OUTPUT_COLUMNS)
     assert row[:11] == ["10.0.0.1", "10.0.0.2", "1000", "80", "6", "3", "180",
                         "SA", "1530453600123", "100", "1530453600223"]
@@ -90,14 +95,14 @@ def test_anomalous_row_cells(tmp_path):
 def test_normal_row_tail(tmp_path):
     path = tmp_path / "out.csv"
     write_flows([normal()], path)
-    _, row = list(csv.reader(path.open()))
+    _, row = csv_rows(path)
     assert row[23:] == ["normal", "", "normal", "0", "0", "0"]
 
 
 def test_seconds_rendering(tmp_path):
     path = tmp_path / "out.csv"
     write_flows([normal()], path, time_unit=SECONDS)
-    _, row = list(csv.reader(path.open()))
+    _, row = csv_rows(path)
     assert row[8] == "1530453600.123"
     assert row[9] == "0.100"
     assert row[10] == "1530453600.223"
@@ -106,7 +111,7 @@ def test_seconds_rendering(tmp_path):
 def test_millisecond_rendering_is_integer(tmp_path):
     path = tmp_path / "out.csv"
     write_flows([normal()], path, time_unit=MILLISECONDS)
-    _, row = list(csv.reader(path.open()))
+    _, row = csv_rows(path)
     assert row[8] == "1530453600123"
     assert row[9] == "100"
 

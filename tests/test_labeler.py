@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlabel import (CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, FlowKey,
                        FlowRecord, IdsLogEntry, LabelStats, assign_class,
@@ -246,19 +247,66 @@ def test_adding_entries_never_weakens_winner():
             assert b >= a
 
 
-def test_threads_give_identical_output():
+def test_label_flows_pulls_one_flow_per_row():
     rng = random.Random(7)
     ips = [f"10.3.0.{i}" for i in range(5)]
     ports = [80, 443, 53]
-    entries = random_entries(rng, 25, ips, ports)
-    index = build_index(entries)
+    index = build_index(random_entries(rng, 25, ips, ports))
     flows = [make_flow(src=rng.choice(ips), dst=rng.choice(ips),
                        sport=rng.choice(ports), dport=rng.choice(ports))
-             for _ in range(5000)]
-    seq_stats = LabelStats()
-    par_stats = LabelStats()
-    seq = list(label_flows(iter(flows), index, stats=seq_stats, threads=1))
-    par = list(label_flows(iter(flows), index, stats=par_stats, threads=4))
-    assert seq == par
-    assert seq_stats.class_counts == par_stats.class_counts
-    assert seq_stats.l_histogram == par_stats.l_histogram
+             for _ in range(500)]
+    pulled = 0
+
+    def source():
+        nonlocal pulled
+        for flow in flows:
+            pulled += 1
+            yield flow
+
+    stats = LabelStats()
+    out = []
+    for n, labeled in enumerate(label_flows(source(), index, stats=stats), start=1):
+        assert pulled == n     # nothing read ahead of the row being yielded
+        out.append(labeled)
+    assert out == [label_one(f, index) for f in flows]
+
+    expected = LabelStats()
+    for labeled in out:
+        w = match_flow(index, labeled.flow.key)
+        expected.add(labeled, sum(x is not None for x in (w.sip, w.dip, w.sport, w.dport))
+                     if w else 0)
+    assert stats == expected
+
+
+def _optional(values):
+    return st.none() | st.sampled_from(values)
+
+
+_IPS = ["10.4.0.1", "10.4.0.2", "10.4.0.3"]
+_PORTS = [53, 80, 443]
+
+
+@st.composite
+def _logs(draw):
+    """Entries with random non-empty attribute subsets, drawn from a small
+    value pool so that many collide, numbered in a random file order."""
+    rows = draw(st.lists(
+        st.tuples(_optional(_IPS), _optional(_PORTS), _optional(_IPS), _optional(_PORTS))
+        .filter(lambda row: any(v is not None for v in row)),
+        max_size=30))
+    orders = draw(st.permutations(range(len(rows))))
+    return [make_entry(sip=sip, sport=sport, dip=dip, dport=dport,
+                       taxonomy=f"t{order}", file_order=order)
+            for (sip, sport, dip, dport), order in zip(rows, orders)]
+
+
+_KEYS = st.builds(FlowKey, st.sampled_from(_IPS), st.sampled_from(_IPS),
+                  st.sampled_from(_PORTS), st.sampled_from(_PORTS), st.just(6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_logs(), keys=st.lists(_KEYS, min_size=1, max_size=20))
+def test_first_hit_equals_scan_oracle(entries, keys):
+    index = build_index(entries)
+    for key in keys:
+        assert match_flow(index, key) is scan_oracle(entries, key)
