@@ -2,8 +2,9 @@
 
 Reading sniffs the 0x1f8b prefix instead of trusting the file name;
 writing compresses when the path ends in .gz, with a fixed gzip mtime so
-identical inputs produce byte-identical outputs, and replaces the target
-only once it is complete.
+identical inputs produce byte-identical outputs, on a worker thread so
+that deflate overlaps the caller's work, and replaces the target only
+once it is complete.
 """
 
 from __future__ import annotations
@@ -13,8 +14,14 @@ import io
 import os
 import stat
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import InputFormatError
+
+# Text bytes gathered before a chunk goes to the compressing thread.
+_GZIP_CHUNK = 256 * 1024
 
 
 def file_stem(path) -> str:
@@ -52,9 +59,17 @@ def open_binary_read(path):
         raise
 
 
+@contextmanager
 def open_text_read(path):
-    """Text stream of the file, gunzipped if need be; a context manager."""
-    return io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="")
+    """Text stream of the file, gunzipped if need be; a context manager.
+    Bytes that are not UTF-8 raise InputFormatError naming the file."""
+    with io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                f"({exc.reason})") from None
 
 
 def _umask() -> int:
@@ -62,6 +77,56 @@ def _umask() -> int:
     umask = os.umask(0o022)
     os.umask(umask)
     return umask
+
+
+class _GzipOnThread(io.RawIOBase):
+    """Raw writer that compresses each chunk into a GzipFile on a worker
+    thread, one chunk in flight at a time.  zlib releases the interpreter
+    lock while it deflates, so compression overlaps the caller's work.
+    A worker's error is raised in the caller by the next write, flush or
+    close; no thread outlives close()."""
+
+    def __init__(self, gz: gzip.GzipFile):
+        self._gz = gz
+        self._worker = None
+        self._error = None
+
+    def writable(self):
+        return True
+
+    def _compress(self, chunk: bytes):
+        try:
+            self._gz.write(chunk)
+        except BaseException as exc:
+            self._error = exc
+
+    def _wait(self):
+        if self._worker is not None:
+            self._worker.join()
+            self._worker = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def write(self, b):
+        self._wait()
+        # the caller may reuse `b` once this returns
+        self._worker = threading.Thread(target=self._compress, args=(bytes(b),),
+                                        name="flowlabel-gzip")
+        self._worker.start()
+        return len(b)
+
+    def flush(self):
+        # the sync flush is part of the output bytes that TextIOWrapper
+        # over a GzipFile has always produced
+        self._wait()
+        self._gz.flush()
+
+    def close(self):
+        try:
+            super().close()    # flush(), which joins the worker
+        finally:
+            self._gz.close()
 
 
 @contextmanager
@@ -80,8 +145,10 @@ def open_text_write(path):
         raw = open(fd, "wb")
     try:
         with raw:
-            stream = (gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
-                      if path.endswith(".gz") else raw)
+            stream = raw
+            if path.endswith(".gz"):
+                gz = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+                stream = io.BufferedWriter(_GzipOnThread(gz), _GZIP_CHUNK)
             with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
                 yield text
         if tmp is not None:

@@ -25,8 +25,8 @@ from ._fileio import file_stem
 from .errors import InputFormatError
 from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
                            build_flows)
-from .flow_io import (MILLISECONDS, SECONDS, split_by_window, write_flows,
-                      write_traffic, read_traffic)
+from .flow_io import (MILLISECONDS, SECONDS, _split_from, split_by_window,
+                      write_flows, write_traffic, read_traffic)
 from .labeler import CLASS_UNSURE, LabelStats, build_index, label_flows
 from .mawilab_log import DEFAULT_ACCEPTED_LABELS, LABEL_NOTICE, parse_log
 from .pcap_reader import open_capture
@@ -155,12 +155,31 @@ def _load_index(log_csv, args):
     }
 
 
-def _write_labeled(flows, index, log_summary, out_path, args) -> tuple[LabelStats, list]:
-    """Label the flow stream and write it; returns the stats and their lines."""
+class _Earliest:
+    """The least sTime of the labeled flows passed through watch()."""
+
+    stime_ms = None
+
+    def watch(self, labeled):
+        least = math.inf
+        for lf in labeled:
+            if lf.flow.stime_ms < least:
+                least = lf.flow.stime_ms
+            yield lf
+        if least != math.inf:
+            self.stime_ms = least
+
+
+def _write_labeled(flows, index, log_summary, out_path, args,
+                   earliest: _Earliest | None = None) -> tuple[LabelStats, list]:
+    """Label the flow stream and write it; returns the stats and their lines.
+    `earliest`, when given, watches the rows written."""
     stats = LabelStats()
     labeled = label_flows(flows, index, stats)
     if args.drop_unsure:
         labeled = (lf for lf in labeled if lf.class_label != CLASS_UNSURE)
+    if earliest is not None:
+        labeled = earliest.watch(labeled)
     rows = write_flows(labeled, out_path, _unit(args))
 
     counts = dict(sorted(stats.class_counts.items()))
@@ -217,14 +236,16 @@ def cmd_pipeline(args) -> int:
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
     index, log_summary = _load_index(args.classifier, args)
     counters = {}
+    # a split needs the least sTime written; noting it spares a read of the output
+    earliest = _Earliest() if args.window is not None else None
     with open_capture(args.input) as reader:
         stats, lines = _write_labeled(_flows(reader, args, counters), index, log_summary,
-                                      out, args)
+                                      out, args, earliest)
         extract_summary = _extract_summary(reader, counters, stats.rows, args)
 
     if args.window is not None:
         split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
-        created = split_by_window(out, args.window, split_dir)
+        created = _split_from(out, args.window, split_dir, earliest.stime_ms)
         _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
     if args.stats:
         _write_stats_lines(args.stats, [extract_summary, *lines])

@@ -28,7 +28,7 @@ class FlowKey(NamedTuple):
     proto: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     key: FlowKey
     packets: int

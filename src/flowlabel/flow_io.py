@@ -42,11 +42,20 @@ _LETTER_BITS = {letter: bit for bit, letter in _FLAG_LETTERS}
 _CLASSES = (CLASS_NORMAL, CLASS_ANOMALY, CLASS_UNSURE)
 
 
+# the letter string of every 8-bit flag set, indexed by the bits
+_FLAG_STRINGS = tuple("".join(letter for bit, letter in _FLAG_LETTERS if bits & bit)
+                      for bits in range(256))
+_STRING_FLAGS = {text: bits for bits, text in enumerate(_FLAG_STRINGS)}
+
+
 def flags_to_string(bits: int) -> str:
-    return "".join(letter for bit, letter in _FLAG_LETTERS if bits & bit)
+    return _FLAG_STRINGS[bits & 0xFF]
 
 
 def flags_from_string(text: str, row_num: int | None = None) -> int:
+    bits = _STRING_FLAGS.get(text)
+    if bits is not None:
+        return bits
     bits = 0
     for ch in text:
         if ch == " ":
@@ -132,34 +141,33 @@ def _label_fields(labeled: LabeledFlow) -> list[str]:
     ]
 
 
+_INT_COLUMNS = ((2, "sPort"), (3, "dPort"), (4, "proto"), (5, "packets"), (6, "bytes"))
+
+
 def _parse_traffic(row: list[str], row_num: int) -> FlowRecord:
-    key = FlowKey(
-        src_ip=row[0],
-        dst_ip=row[1],
-        src_port=_int(row[2], row_num, "sPort"),
-        dst_port=_int(row[3], row_num, "dPort"),
-        proto=_int(row[4], row_num, "proto"),
-    )
+    try:
+        sport, dport, proto, packets, nbytes = (
+            int(row[2]), int(row[3]), int(row[4]), int(row[5]), int(row[6]))
+    except ValueError:
+        for col, name in _INT_COLUMNS:   # raises for the first bad column
+            _int(row[col], row_num, name)
+        raise
+    # cells are parsed in column order, so a row with several bad cells
+    # reports the first of them
+    flags = flags_from_string(row[7], row_num)
+    stime = _parse_time(row[8], row_num)
+    # row[9] is durat, derived from sTime/eTime; not read back
+    etime = _parse_time(row[10], row_num)
+    icmp_type = None if row[17] == "" else _int(row[17], row_num, "iType")
+    icmp_code = None if row[18] == "" else _int(row[18], row_num, "iCode")
     return FlowRecord(
-        key=key,
-        packets=_int(row[5], row_num, "packets"),
-        bytes=_int(row[6], row_num, "bytes"),
-        flags=flags_from_string(row[7], row_num),
-        stime_ms=_parse_time(row[8], row_num),
-        # row[9] is durat, derived from sTime/eTime; not read back
-        etime_ms=_parse_time(row[10], row_num),
-        sensor=row[11],
-        input_if=row[12],
-        output_if=row[13],
-        next_hop=row[14],
-        sensor_class=row[15],
-        flow_type=row[16],
-        icmp_type=None if row[17] == "" else _int(row[17], row_num, "iType"),
-        icmp_code=None if row[18] == "" else _int(row[18], row_num, "iCode"),
-        initial_flags=flags_from_string(row[19], row_num),
-        session_flags=flags_from_string(row[20], row_num),
-        attributes=row[21],
-        application=row[22],
+        FlowKey(row[0], row[1], sport, dport, proto),
+        packets, nbytes, flags,
+        flags_from_string(row[19], row_num),   # initial_flags
+        flags_from_string(row[20], row_num),   # session_flags
+        stime, etime, icmp_type, icmp_code,
+        *row[11:17],   # sensor, input_if, output_if, next_hop, sensor_class, flow_type
+        row[21], row[22],                      # attributes, application
     )
 
 
@@ -300,19 +308,29 @@ def split_by_window(input_path, window_s: float, outdir) -> list[Path]:
     Returns the created paths ordered by window index; a header-only input
     creates nothing and returns an empty list.
     """
-    window_ms = round(window_s * 1000)
-    if window_ms <= 0:
-        raise ValueError(f"window must be positive, got {window_s}")
-    outdir = Path(outdir)
-
+    _window_ms(window_s)   # a bad window fails before the input is read
     min_stime = None
     for _row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
         stime = _parse_time(row[_STIME_COL], _row_num)
         if min_stime is None or stime < min_stime:
             min_stime = stime
+    return _split_from(input_path, window_s, outdir, min_stime)
+
+
+def _window_ms(window_s: float) -> int:
+    window_ms = round(window_s * 1000)
+    if window_ms <= 0:
+        raise ValueError(f"window must be positive, got {window_s}")
+    return window_ms
+
+
+def _split_from(input_path, window_s: float, outdir, min_stime: int | None) -> list[Path]:
+    """split_by_window for a caller that already knows the least sTime of
+    the input's rows (None: the input has no rows)."""
+    window_ms = _window_ms(window_s)
     if min_stime is None:
         return []
-
+    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     writers = _WindowWriters(outdir, file_stem(input_path))
     try:

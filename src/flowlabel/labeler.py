@@ -9,8 +9,11 @@ with L>1 = anomaly.
 MatchIndex holds one hash map per non-empty subset of {dip, sip, dport,
 sport} (tuple space search); an entry lives in the map of exactly its
 non-null subset.  The maps are probed in precedence order, so a lookup
-stops at the first hit and probes at most fifteen maps instead of
-scanning the log.  Labeling is serial and streams: one flow in, one
+stops at the first hit.  It also keeps, per attribute, the set of values
+the log uses: a flow whose value is not in that set cannot match any map
+keyed on the attribute, so a lookup first takes the flow's presence
+pattern (four set lookups) and probes only the non-empty maps whose
+subset lies inside it.  Labeling is serial and streams: one flow in, one
 labeled flow out.
 """
 
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .flow_builder import FlowKey, FlowRecord
 from .mawilab_log import IdsLogEntry, precedence_key, specificity
@@ -35,25 +39,25 @@ CLASS_UNSURE = "unsure"
 _MASKS = tuple(sorted(range(1, 16), key=lambda m: (m.bit_count(), m), reverse=True))
 
 
-def _projection(names):
-    """Getter for the values of `names` as a tuple (a 1-tuple for one)."""
-    get = attrgetter(*names)
-    if len(names) == 1:
+def _projection(getter, fields):
+    """Getter for the values of `fields` as a tuple (a 1-tuple for one)."""
+    get = getter(*fields)
+    if len(fields) == 1:
         return lambda obj: (get(obj),)
     return get
 
 
-def _projections(names):
-    return {m: _projection([n for bit, n in zip((8, 4, 2, 1), names) if m & bit])
+def _projections(getter, fields):
+    return {m: _projection(getter, [f for bit, f in zip((8, 4, 2, 1), fields) if m & bit])
             for m in _MASKS}
 
 
-_ENTRY_PROJECTION = _projections(("dip", "sip", "dport", "sport"))
-_FLOW_PROJECTION = _projections(("dst_ip", "src_ip", "dst_port", "src_port"))
+_ENTRY_PROJECTION = _projections(attrgetter, ("dip", "sip", "dport", "sport"))
+# FlowKey positions of dst_ip, src_ip, dst_port, src_port
+_FLOW_PROJECTION = _projections(itemgetter, (1, 0, 3, 2))
 
 
-@dataclass(frozen=True)
-class LabeledFlow:
+class LabeledFlow(NamedTuple):
     flow: FlowRecord
     class_label: str
     taxonomy: str = ""
@@ -83,6 +87,11 @@ class MatchIndex:
         # one table per mask, in precedence order
         self.maps: dict[int, dict[tuple, IdsLogEntry]] = {m: {} for m in _MASKS}
         self.size = 0
+        # the dip, sip, dport and sport values the entries use
+        self.values: tuple[set, set, set, set] = (set(), set(), set(), set())
+        # per presence pattern: (flow projection, table) of each non-empty
+        # table whose mask lies inside the pattern, in precedence order
+        self.probes: tuple[tuple, ...] = ((),) * 16
 
     def __len__(self):
         return self.size
@@ -101,19 +110,30 @@ def build_index(entries) -> MatchIndex:
         if current is None or precedence_key(entry) > precedence_key(current):
             slot[vals] = entry
         index.size += 1
+        for used, value in zip(index.values, (entry.dip, entry.sip, entry.dport, entry.sport)):
+            if value is not None:
+                used.add(value)
+    index.probes = tuple(
+        tuple((_FLOW_PROJECTION[mask], table) for mask, table in index.maps.items()
+              if table and mask & pattern == mask)
+        for pattern in range(16))
     return index
 
 
 def match_flow(index: MatchIndex, key: FlowKey):
     """Winning IdsLogEntry for this flow's four-tuple, or None.  Only the
     four attributes take part; key.proto is ignored.  The tables are
-    probed in precedence order and each holds only the best entry per
-    key, so the first hit wins."""
-    for mask, table in index.maps.items():
-        if table:
-            entry = table.get(_FLOW_PROJECTION[mask](key))
-            if entry is not None:
-                return entry
+    probed in precedence order, skipping those keyed on a value the log
+    never uses, and each holds only the best entry per key, so the first
+    hit wins."""
+    src, dst, sport, dport, _proto = key
+    dips, sips, dports, sports = index.values
+    pattern = ((8 if dst in dips else 0) | (4 if src in sips else 0)
+               | (2 if dport in dports else 0) | (1 if sport in sports else 0))
+    for project, table in index.probes[pattern]:
+        entry = table.get(project(key))
+        if entry is not None:
+            return entry
     return None
 
 
@@ -127,17 +147,11 @@ def assign_class(winner) -> str:
 def _label_with_l(flow: FlowRecord, index: MatchIndex) -> tuple[LabeledFlow, int]:
     winner = match_flow(index, flow.key)
     if winner is None:
-        return LabeledFlow(flow=flow, class_label=CLASS_NORMAL), 0
-    labeled = LabeledFlow(
-        flow=flow,
-        class_label=assign_class(winner),
-        taxonomy=winner.taxonomy,
-        heuristic=winner.heuristic,
-        distance=winner.distance,
-        nb_detectors=winner.nb_detectors,
-        mawilab_label=winner.mawilab_label,
-    )
-    return labeled, specificity(winner)[0]
+        return LabeledFlow(flow, CLASS_NORMAL), 0
+    l_value, _ = specificity(winner)
+    # taxonomy, heuristic, distance, nb_detectors, mawilab_label
+    return LabeledFlow(flow, CLASS_UNSURE if l_value == 1 else CLASS_ANOMALY,
+                       *winner[4:9]), l_value
 
 
 def label_one(flow: FlowRecord, index: MatchIndex) -> LabeledFlow:

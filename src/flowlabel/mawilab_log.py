@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import ipaddress
-from dataclasses import dataclass
+import socket
+from typing import NamedTuple
 
 from ._fileio import open_text_read
 from .errors import AllNullTupleError, MalformedRowError, MissingColumnError
@@ -35,8 +36,7 @@ _ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class IdsLogEntry:
+class IdsLogEntry(NamedTuple):
     sip: str | None
     dip: str | None
     sport: int | None
@@ -75,8 +75,18 @@ def _is_null(cell: str) -> bool:
 
 
 def _parse_ip(cell: str, row_num: int, col: str) -> str:
+    """The address as the pcap decoder prints it (inet_ntop), so that
+    IPv4-mapped and IPv4-compatible IPv6 addresses come out dotted.  A cell
+    inet_pton rejects, such as one with a %scope suffix, goes through
+    ipaddress, which decides whether it is an address at all."""
+    text = cell.strip()
+    family = socket.AF_INET6 if ":" in text else socket.AF_INET
     try:
-        return str(ipaddress.ip_address(cell.strip()))
+        return socket.inet_ntop(family, socket.inet_pton(family, text))
+    except (OSError, ValueError):
+        pass
+    try:
+        return str(ipaddress.ip_address(text))
     except ValueError as exc:
         raise MalformedRowError(f"row {row_num}: bad IP in {col}: {cell!r}") from exc
 
@@ -102,6 +112,7 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     accepted = {lbl.strip().lower() for lbl in accepted_labels}
     entries = []
     skipped = 0
+    strings = {}   # one object per distinct taxonomy and label
     with open_text_read(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -144,12 +155,13 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
                 raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
             if nb_detectors < 0:
                 raise MalformedRowError(f"row {row_num}: negative nbDetectors")
+            taxonomy = row[cols["taxonomy"]]
             entries.append(IdsLogEntry(
-                sip=sip, dip=dip, sport=sport, dport=dport,
-                taxonomy=row[cols["taxonomy"]],
-                heuristic=heuristic, distance=distance,
-                nb_detectors=nb_detectors, mawilab_label=label,
-                file_order=len(entries),
+                sip, dip, sport, dport,
+                strings.setdefault(taxonomy, taxonomy),
+                heuristic, distance, nb_detectors,
+                strings.setdefault(label, label),
+                len(entries),
             ))
     if counters is not None:
         counters["skipped_label"] = counters.get("skipped_label", 0) + skipped

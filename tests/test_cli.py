@@ -21,9 +21,10 @@ def run(*argv):
     return main(list(argv))
 
 
-def small_pcap(tmp_path, name="trace.pcap"):
+def small_pcap(tmp_path, name="trace.pcap", early_dns=False):
     """Twenty packets over four five-tuples, one of which pauses long
-    enough mid-trace to be cut by the default idle timeout."""
+    enough mid-trace to be cut by the default idle timeout.  `early_dns`
+    adds a packet to port 53 half a second before all of them."""
     base = 1_530_453_600_000
     frames = []
 
@@ -41,6 +42,8 @@ def small_pcap(tmp_path, name="trace.pcap"):
         tcp_pkt(base + i * 50, "192.0.2.11", "198.51.100.5", 4321, 443, pc.ACK)
     for i in range(3):
         tcp_pkt(base + i * 60_000, "192.0.2.12", "198.51.100.9", 5555, 53, pc.ACK)
+    if early_dns:
+        tcp_pkt(base - 500, "192.0.2.13", "198.51.100.9", 6666, 53, pc.ACK)
 
     frames.sort(key=lambda f: (f[0], f[1]))
     path = tmp_path / name
@@ -299,11 +302,16 @@ PIPELINE_RULE_ROWS = [*MIXED_RULE_ROWS, ",,,53,ntscUDP,24,0.8,2,anomalous"]
     (["--drop-unsure"], "labeled.csv"),
     ([], "labeled.csv.gz"),
     (["--idle-timeout", "0.5", "--active-timeout", "3"], "labeled.csv"),
-], ids=["default", "sec", "per-packet", "drop-unsure", "gz-output", "timeouts"])
+    (["-n", "0.3", "--drop-unsure", "--sec"], "labeled.csv"),
+], ids=["default", "sec", "per-packet", "drop-unsure", "gz-output", "timeouts",
+        "split-drop-unsure"])
 def test_pipeline_matches_two_step(tmp_path, flags, name):
-    pcap = small_pcap(tmp_path)
+    window = flags[flags.index("-n") + 1] if "-n" in flags else None
+    # with a split, the earliest flow is unsure: dropped, it must not set
+    # the windows' origin
+    pcap = small_pcap(tmp_path, early_dns=window is not None)
     log = write_log(tmp_path, PIPELINE_RULE_ROWS)
-    extract_flags = [f for f in flags if f != "--drop-unsure"]
+    extract_flags = [f for f in flags if f not in ("--drop-unsure", "-n", window)]
     label_flags = [f for f in flags if f in ("--sec", "--drop-unsure")]
 
     two, one = tmp_path / "two_step", tmp_path / "one_step"
@@ -319,7 +327,61 @@ def test_pipeline_matches_two_step(tmp_path, flags, name):
     assert (one / name).read_bytes() == (two / name).read_bytes()
     assert (one / "stats.jsonl").read_text() == (
         (two / "extract.jsonl").read_text() + (two / "label.jsonl").read_text())
-    assert sorted(p.name for p in one.iterdir()) == sorted([name, "stats.jsonl"])
+    windows = []
+    if window is not None:
+        earliest = min(read_traffic(two / "flows.csv"), key=lambda f: f.stime_ms)
+        assert earliest.key.src_ip == "192.0.2.13"
+        assert earliest.stime_ms < min(lf.flow.stime_ms for lf in read_flows(two / name))
+        assert run("split", "-i", str(two / name), "-o", str(two / "windows"), "-n", window,
+                   "--quiet") == 0
+        windows = sorted(p.name for p in (two / "windows").iterdir())
+        assert windows
+        for w in windows:
+            assert (one / w).read_bytes() == (two / "windows" / w).read_bytes()
+    assert sorted(p.name for p in one.iterdir()) == sorted([name, "stats.jsonl", *windows])
+
+
+@pytest.mark.parametrize("source, rule_ip", [
+    ("::ffff:1.2.3.4", "::ffff:1.2.3.4"),
+    ("::ffff:1.2.3.4", "::ffff:102:304"),
+    ("::1.2.3.4", "::1.2.3.4"),
+], ids=["mapped", "mapped-hex-rule", "compatible"])
+def test_rule_naming_ipv4_in_ipv6_address_matches(tmp_path, source, rule_ip):
+    frame = pc.ethernet(pc.ipv6(source, "2001:db8::53", 17, pc.udp(5000, 53)),
+                        ethertype=pc.ETH_IPV6)
+    pcap = tmp_path / "v6.pcap"
+    pcap.write_bytes(pc.pcap([(1_530_453_600, 0, frame)]))
+    log = write_log(tmp_path, [f"{rule_ip},5000,,53,ntscUDP,24,0.8,2,anomalous"])
+    out = tmp_path / "labeled.csv"
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out), "--quiet") == 0
+    (lf,) = read_flows(out)
+    assert lf.flow.key.src_ip == source
+    assert (lf.class_label, lf.taxonomy) == ("anomaly", "ntscUDP")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "label"])
+def test_non_utf8_input_is_format_error(tmp_path, capsys, command):
+    pcap = _random_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    if command == "pipeline":
+        # a log row whose taxonomy cell holds 0xFF
+        bad = tmp_path / "log.csv"
+        bad.write_bytes(bad.read_bytes() + b"192.0.2.10,,,,scan\xff,1,1.0,1,anomalous\n")
+        argv = ["pipeline", "-i", str(pcap), "-c", str(bad)]
+    else:
+        # a flow CSV with 0xFF in its last row, after thousands of rows
+        bad = tmp_path / "flows.csv"
+        assert run("extract", "-i", str(pcap), "-o", str(bad), "--quiet") == 0
+        data = bad.read_bytes()
+        bad.write_bytes(data[:-10] + b"\xff" + data[-9:])
+        argv = ["label", "-i", str(bad), "-c", str(log)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(*argv, "-o", str(out / "result.csv"), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"flowlabel: {bad}: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def _random_pcap(tmp_path, name="trace.pcap"):

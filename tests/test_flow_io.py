@@ -75,6 +75,25 @@ def test_flag_letters():
     assert flags_from_string(flags_to_string(0xB7)) == 0xB7
 
 
+_LETTERS = ((TCP_FIN, "F"), (TCP_SYN, "S"), (TCP_RST, "R"), (TCP_PSH, "P"),
+            (TCP_ACK, "A"), (TCP_URG, "U"), (TCP_ECE, "E"), (TCP_CWR, "C"))
+
+
+def test_flag_table_equals_letter_loop():
+    def letters(bits):
+        return "".join(letter for bit, letter in _LETTERS if bits & bit)
+
+    for bits in range(256):
+        text = letters(bits)
+        assert flags_to_string(bits) == text
+        assert flags_to_string(bits | 0x300) == text    # only the low 8 bits count
+        assert flags_from_string(text) == bits
+        assert flags_from_string(text[::-1]) == bits
+        assert flags_from_string(" ".join(text)) == bits
+        assert flags_from_string(f" {text} ") == bits
+        assert flags_from_string(text + text) == bits
+
+
 def test_bad_flag_letter():
     with pytest.raises(MalformedRowError):
         flags_from_string("SAX")
@@ -242,6 +261,27 @@ def test_malformed_row_reports_line(tmp_path):
     with pytest.raises(MalformedRowError) as err:
         list(read_flows(path))
     assert "row 4" in str(err.value)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({2: "x"}, "row 2: bad integer in sPort: 'x'"),
+    ({6: "1.5", 3: "-"}, "row 2: bad integer in dPort: '-'"),
+    ({6: "", 17: "z"}, "row 2: bad integer in bytes: ''"),
+    ({8: "soon", 19: "Q"}, "row 2: bad time value 'soon'"),
+    ({18: "z", 20: "Q"}, "row 2: bad integer in iCode: 'z'"),
+], ids=["sport", "dport-before-bytes", "bytes-before-itype", "stime-before-flags",
+        "icode-before-flags"])
+def test_bad_cells_report_the_first(tmp_path, bad, message):
+    path = tmp_path / "bad.csv"
+    write_traffic([make_flow()], path)
+    rows = csv_rows(path)
+    for col, cell in bad.items():
+        rows[1][col] = cell
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with pytest.raises(MalformedRowError) as err:
+        list(read_traffic(path))
+    assert str(err.value) == message
 
 
 def test_bad_class_rejected(tmp_path):

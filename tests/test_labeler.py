@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from flowlabel import (CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, FlowKey,
                        FlowRecord, IdsLogEntry, LabelStats, assign_class,
                        build_index, label_flows, label_one, match_flow)
+from flowlabel.labeler import _MASKS
 
 
 def make_entry(sip=None, sport=None, dip=None, dport=None, taxonomy="t",
@@ -247,6 +248,33 @@ def test_adding_entries_never_weakens_winner():
             assert b >= a
 
 
+def presence_pattern(entries, key):
+    """The attributes of `key` whose value some entry uses, as dip/sip/
+    dport/sport bits 8/4/2/1."""
+    used = [{getattr(e, name) for e in entries} - {None}
+            for name in ("dip", "sip", "dport", "sport")]
+    values = (key.dst_ip, key.src_ip, key.dst_port, key.src_port)
+    return sum(bit for bit, u, v in zip((8, 4, 2, 1), used, values) if v in u)
+
+
+def test_presence_filter_probes_only_tables_it_can_hit():
+    rng = random.Random(1999)
+    ips = [f"10.5.0.{i}" for i in range(6)]
+    ports = [22, 80, 443, 8080]
+    for _round in range(20):
+        entries = random_entries(rng, rng.randrange(1, 12), ips[:4], ports[:3])
+        index = build_index(entries)
+        for pattern in range(16):
+            expected = [index.maps[m] for m in _MASKS if index.maps[m] and m & ~pattern == 0]
+            assert [table for _project, table in index.probes[pattern]] == expected
+        keys = [FlowKey(rng.choice(ips), rng.choice(ips), rng.choice(ports),
+                        rng.choice(ports), 6) for _ in range(50)]
+        # a probe list per pattern whose only table answers with the pattern
+        index.probes = tuple(((lambda key: "any", {"any": p}),) for p in range(16))
+        for key in keys:
+            assert match_flow(index, key) == presence_pattern(entries, key)
+
+
 def test_label_flows_pulls_one_flow_per_row():
     rng = random.Random(7)
     ips = [f"10.3.0.{i}" for i in range(5)]
@@ -300,8 +328,12 @@ def _logs(draw):
             for (sip, sport, dip, dport), order in zip(rows, orders)]
 
 
-_KEYS = st.builds(FlowKey, st.sampled_from(_IPS), st.sampled_from(_IPS),
-                  st.sampled_from(_PORTS), st.sampled_from(_PORTS), st.just(6))
+# one address and one port that no rule uses, so flows draw attributes
+# the presence filter finds absent from the log
+_KEY_IPS = [*_IPS, "10.4.0.99"]
+_KEY_PORTS = [*_PORTS, 8080]
+_KEYS = st.builds(FlowKey, st.sampled_from(_KEY_IPS), st.sampled_from(_KEY_IPS),
+                  st.sampled_from(_KEY_PORTS), st.sampled_from(_KEY_PORTS), st.just(6))
 
 
 @settings(max_examples=300, deadline=None)

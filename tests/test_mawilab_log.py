@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gzip
+import ipaddress
 import random
+import socket
 
 import pytest
 
@@ -11,7 +13,7 @@ from flowlabel import (AllNullTupleError, IdsLogEntry, MalformedRowError,
                        MissingColumnError, parse_log, precedence_key,
                        specificity)
 from flowlabel.mawilab_log import (DEFAULT_ACCEPTED_LABELS, LABEL_ANOMALOUS,
-                                   LABEL_NOTICE, LABEL_SUSPICIOUS)
+                                   LABEL_NOTICE, LABEL_SUSPICIOUS, _parse_ip)
 
 HEADER = "sip,sport,dip,dport,taxonomy,heuristic,distance,nbDetectors,label"
 
@@ -246,3 +248,93 @@ def test_label_case_and_whitespace(tmp_path):
     assert e.mawilab_label == LABEL_ANOMALOUS
     # taxonomy text is copied through untouched
     assert e.taxonomy == "ptmp ICMP"
+
+
+def test_taxonomy_and_label_strings_shared(tmp_path):
+    path = write_log(tmp_path, [f"1.2.3.{i},,,,sYNscan,1,1.0,1,anomalous" for i in range(3)])
+    a, b, c = parse_log(path)
+    assert a.taxonomy is b.taxonomy is c.taxonomy
+    assert a.mawilab_label is b.mawilab_label is c.mawilab_label
+
+
+@pytest.mark.parametrize("cell, text", [
+    ("::ffff:1.2.3.4", "::ffff:1.2.3.4"),
+    ("::ffff:102:304", "::ffff:1.2.3.4"),
+    ("::1.2.3.4", "::1.2.3.4"),
+    ("0:0:0:0:0:0:102:304", "::1.2.3.4"),
+    ("::1", "::1"),
+    (" 2001:DB8::0:1 ", "2001:db8::1"),
+    ("fe80::1%eth0", "fe80::1%eth0"),
+])
+def test_addresses_print_like_the_decoder(cell, text):
+    assert _parse_ip(cell, 2, "sip") == text
+
+
+_V6_PREFIXES = (None, [0] * 6, [0] * 5 + [0xFFFF])   # any, ::/96, ::ffff:0:0/96
+
+
+def _random_packed(rng):
+    """(family, packed address); zero groups are common so that runs of
+    them get compressed, and a third of IPv6 addresses lie in each range."""
+    def group(top):
+        return 0 if rng.random() < 0.4 else rng.randrange(top + 1)
+
+    if rng.random() < 0.25:
+        return socket.AF_INET, bytes(group(255) for _ in range(4))
+    prefix = rng.choice(_V6_PREFIXES)
+    groups = [group(0xFFFF) for _ in range(8)] if prefix is None else \
+        prefix + [group(0xFFFF) for _ in range(2)]
+    return socket.AF_INET6, b"".join(g.to_bytes(2, "big") for g in groups)
+
+
+def test_parse_ip_prints_as_inet_ntop():
+    rng = random.Random(5952)
+    for _ in range(20_000):
+        family, packed = _random_packed(rng)
+        ip = ipaddress.ip_address(packed)
+        text = socket.inet_ntop(family, packed)
+        for spelling in (text, str(ip), ip.exploded, ip.exploded.upper(), f" {text}\t"):
+            assert _parse_ip(spelling, 2, "dip") == text
+
+
+def _random_cell(rng):
+    """An address spelling with a few random edits, or random text."""
+    if rng.random() < 0.2:
+        return "".join(rng.choice("0123456789abcdefABCDEFx.:% -\x00\u0661")
+                       for _ in range(rng.randrange(40)))
+    family, packed = _random_packed(rng)
+    ip = ipaddress.ip_address(packed)
+    chars = list(rng.choice([socket.inet_ntop(family, packed), str(ip), ip.exploded]))
+    if rng.random() < 0.2:
+        chars += "%" + rng.choice(["eth0", "1", ""])
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.choice("idr")
+        if edit == "i":
+            chars.insert(i, rng.choice("0123456789afAF.:% \x00"))
+        elif chars:
+            i = min(i, len(chars) - 1)
+            if edit == "d":
+                del chars[i]
+            else:
+                chars[i] = rng.choice("0g:.%1f ")
+    return "".join(chars)
+
+
+def test_parse_ip_accepts_what_ipaddress_accepts():
+    rng = random.Random(4291)
+    accepted = 0
+    for _ in range(30_000):
+        cell = _random_cell(rng)
+        try:
+            ip = ipaddress.ip_address(cell.strip())
+        except ValueError:
+            with pytest.raises(MalformedRowError):
+                _parse_ip(cell, 2, "sip")
+            continue
+        accepted += 1
+        family = socket.AF_INET if ip.version == 4 else socket.AF_INET6
+        scoped = getattr(ip, "scope_id", None)
+        expected = str(ip) if scoped else socket.inet_ntop(family, ip.packed)
+        assert _parse_ip(cell, 2, "sip") == expected
+    assert 5_000 < accepted < 25_000    # both outcomes well drawn
