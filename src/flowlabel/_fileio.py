@@ -129,6 +129,20 @@ class _GzipOnThread(io.RawIOBase):
             self._gz.close()
 
 
+def temp_beside(path) -> tuple[int, str]:
+    """mkstemp() beside `path`, named after it: the descriptor and name of a
+    new empty file in which to write `path` before publish() renames it."""
+    directory, name = os.path.split(os.fspath(path))
+    return tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+
+
+def publish(tmp, path):
+    """Rename the finished temp file `tmp` over `path`, with the mode that
+    open() gives a new file."""
+    os.chmod(tmp, 0o666 & ~_umask())
+    os.replace(tmp, path)
+
+
 @contextmanager
 def open_text_write(path):
     """Text stream writing `path`, gzipped when the name ends in .gz.  A new
@@ -140,8 +154,7 @@ def open_text_write(path):
     if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
         raw = open(path, "wb")
     else:
-        directory, name = os.path.split(path)
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+        fd, tmp = temp_beside(path)
         raw = open(fd, "wb")
     try:
         with raw:
@@ -152,8 +165,7 @@ def open_text_write(path):
             with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
                 yield text
         if tmp is not None:
-            os.chmod(tmp, 0o666 & ~_umask())   # the mode open() would give
-            os.replace(tmp, path)
+            publish(tmp, path)
     except BaseException:
         if tmp is not None:
             os.unlink(tmp)

@@ -90,16 +90,18 @@ def _resolve_out(output, input_path, suffix: str) -> str:
     return str(output)
 
 
-def _progress(packets, quiet: bool):
-    if quiet:
-        yield from packets
-        return
-    n = 0
-    for p in packets:
-        n += 1
-        if n % PROGRESS_EVERY == 0:
-            print(f"flowlabel: {n:,} packets read", file=sys.stderr)
-        yield p
+def _progress(flows, reader):
+    """`flows`, printing a line at each multiple of PROGRESS_EVERY packets
+    the reader has decoded.  The count is read as each flow comes out, so a
+    line lags while no flow is emitted; the last line is not lost, since
+    the flow holding the latest timestamp comes out only after the last
+    packet is read."""
+    mark = PROGRESS_EVERY
+    for flow in flows:
+        while reader.decoded >= mark:
+            print(f"flowlabel: {mark:,} packets read", file=sys.stderr)
+            mark += PROGRESS_EVERY
+        yield flow
 
 
 def _say(quiet: bool, message: str):
@@ -126,7 +128,8 @@ def _flows(reader, args, counters):
         idle_timeout_ms=_timeout_ms(args.idle_timeout),
         active_timeout_ms=_timeout_ms(args.active_timeout),
     )
-    return build_flows(_progress(reader, args.quiet), cfg, counters)
+    flows = build_flows(reader, cfg, counters)
+    return flows if args.quiet else _progress(flows, reader)
 
 
 def _extract_summary(reader, counters, flows: int, args, dest="") -> dict:
@@ -138,6 +141,7 @@ def _extract_summary(reader, counters, flows: int, args, dest="") -> dict:
         "packets_skipped": reader.skipped,
         "flows_written": flows,
         "out_of_order_packets": counters.get("out_of_order", 0),
+        "peak_live_flows": counters.get("peak_live_flows", 0),
         "skip_reasons": dict(reader.skip_reasons),
     }
 

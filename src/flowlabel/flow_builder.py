@@ -105,6 +105,8 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     Emission is ordered by (etime, first-seen) whenever input reordering
     stays inside config.reorder_window_ms; packets reordered further than
     that are still processed but counted in counters["out_of_order"].
+    Once the packets run out, counters["peak_live_flows"] holds the most
+    flows the live-flow table held at once (0 in per-packet mode).
     """
     cfg = config or AggregationConfig()
     if cfg.mode not in (MODE_AGGREGATE, MODE_PER_PACKET):
@@ -130,6 +132,7 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     pending: list = []       # (etime, seq, FlowRecord)
     clock = -never
     seq = 0
+    peak = 0   # the most live flows held at once
 
     for p in packets:
         ts, src, dst, sport, dport, proto, ip_len, flags, itype, icode = p
@@ -163,6 +166,8 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
             if st is None:
                 flows[key] = _FlowState(FlowKey._make(key), seq, ts, ts, 1, ip_len,
                                         flags, flags, 0, itype, icode)
+                if len(flows) > peak:
+                    peak = len(flows)
                 if barrier_lag != never:
                     heapq.heappush(active_heap, (ts, seq, key))
                 seq += 1
@@ -181,6 +186,8 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
         while pending and pending[0][0] < barrier:
             yield heapq.heappop(pending)[2]
 
+    if counters is not None:
+        counters["peak_live_flows"] = peak
     for st in flows.values():
         heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))
     while pending:

@@ -8,11 +8,13 @@ flag sets render as SiLK-style letter strings (subset of "FSRPAUEC").
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from collections import OrderedDict
 from pathlib import Path
 
-from ._fileio import file_stem, open_text_read, open_text_write
+from ._fileio import file_stem, open_text_read, open_text_write, publish, temp_beside
 from .errors import MalformedRowError, SchemaMismatchError
 from .flow_builder import FlowKey, FlowRecord
 from .labeler import CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, LabeledFlow
@@ -264,29 +266,30 @@ _MAX_OPEN_WINDOWS = 64
 
 
 class _WindowWriters:
-    """Append-mode CSV writers per window, at most _MAX_OPEN_WINDOWS open
-    at once so huge window counts cannot exhaust file descriptors."""
+    """CSV writers per window, at most _MAX_OPEN_WINDOWS open at once so
+    huge window counts cannot exhaust file descriptors.  Each window is
+    written to a temp file beside its window file; finish() renames them
+    all once the last row is in, discard() deletes them."""
 
     def __init__(self, outdir: Path, stem: str):
         self.outdir = outdir
         self.stem = stem
-        self.paths: dict[int, Path] = {}
+        self.temps: dict[int, str] = {}
         self.open: OrderedDict[int, tuple] = OrderedDict()
 
     def row(self, window: int, fields):
         entry = self.open.get(window)
         if entry is None:
-            path = self.paths.get(window)
-            first = path is None
+            tmp = self.temps.get(window)
+            first = tmp is None
             if first:
-                path = self.outdir / f"{self.stem}_w{window:04d}.csv"
-                self.paths[window] = path
-            fh = open(path, "w" if first else "a", encoding="utf-8", newline="")
-            writer = csv.writer(fh, lineterminator="\n")
+                fd, tmp = temp_beside(self._path(window))
+                os.close(fd)
+                self.temps[window] = tmp
+            fh = open(tmp, "w" if first else "a", encoding="utf-8", newline="")
+            entry = self.open[window] = (fh, csv.writer(fh, lineterminator="\n"))
             if first:
-                writer.writerow(OUTPUT_COLUMNS)
-            entry = (fh, writer)
-            self.open[window] = entry
+                entry[1].writerow(OUTPUT_COLUMNS)
             if len(self.open) > _MAX_OPEN_WINDOWS:
                 _, (old_fh, _w) = self.open.popitem(last=False)
                 old_fh.close()
@@ -294,10 +297,31 @@ class _WindowWriters:
             self.open.move_to_end(window)
         entry[1].writerow(fields)
 
-    def close(self):
-        for fh, _writer in self.open.values():
+    def _path(self, window: int) -> Path:
+        return self.outdir / f"{self.stem}_w{window:04d}.csv"
+
+    def finish(self) -> list[Path]:
+        """Close the files and rename each over its window file; returns
+        the window files in window order."""
+        while self.open:
+            _window, (fh, _writer) = self.open.popitem(last=False)
             fh.close()
+        paths = []
+        for window in sorted(self.temps):
+            paths.append(self._path(window))
+            publish(self.temps.pop(window), paths[-1])
+        return paths
+
+    def discard(self):
+        """Close and delete every temp file not yet published.  Errors here
+        are ignored: they would hide the one that made the split fail."""
+        for fh, _writer in self.open.values():
+            with contextlib.suppress(OSError):
+                fh.close()
         self.open.clear()
+        for tmp in self.temps.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def split_by_window(input_path, window_s: float, outdir) -> list[Path]:
@@ -337,6 +361,7 @@ def _split_from(input_path, window_s: float, outdir, min_stime: int | None) -> l
         for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
             stime = _parse_time(row[_STIME_COL], row_num)
             writers.row((stime - min_stime) // window_ms, row)
-    finally:
-        writers.close()
-    return [writers.paths[w] for w in sorted(writers.paths)]
+        return writers.finish()
+    except BaseException:
+        writers.discard()
+        raise

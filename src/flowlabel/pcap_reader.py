@@ -10,6 +10,9 @@ Records are parsed out of blocks of at least 256 KiB.  The common frame,
 untagged Ethernet carrying a first IPv4 fragment with its whole TCP or UDP
 header, is decoded inline; every other frame goes through the general
 decoder `_decode_frame`, which gives the same result for the common frame.
+The inline path renders each IPv4 address once per reader (up to
+_ADDRESS_CACHE_MAX of them at a time), so the packets of one flow share
+their address strings and the strings' hashes are computed once.
 """
 
 from __future__ import annotations
@@ -72,10 +75,13 @@ _IPV6_FRAGMENT = 44
 
 # The fast path's view of an untagged Ethernet frame from the ethertype on:
 # ethertype, version/IHL, total length, flags/fragment offset, protocol,
-# source and destination address.
-_IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB2x4s4s")
+# source and destination address, and the two ports that follow an IPv4
+# header without options.
+_IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB2x4s4sHH")
 _PORTS = struct.Struct("!HH")
-_FAST_MIN_LEN = 14 + 20   # Ethernet header + minimal IPv4 header
+_FAST_MIN_LEN = 14 + 20 + 8   # Ethernet + minimal IPv4 + UDP header
+# Rendered IPv4 addresses kept per reader; the cache is emptied when full.
+_ADDRESS_CACHE_MAX = 65536
 
 # Bytes buffered per refill; a record cut by a refill is carried over.
 _BLOCK = 256 * 1024
@@ -204,6 +210,7 @@ class CaptureReader:
         unpack_ip = _IPV4_OVER_ETH.unpack_from
         unpack_ports = _PORTS.unpack_from
         ntop, af_inet = socket.inet_ntop, socket.AF_INET
+        names = {}   # packed IPv4 address -> its text
         new_record = tuple.__new__
         decode = self._decode_frame
         fast = self.linktype == LINKTYPE_ETHERNET
@@ -230,20 +237,32 @@ class CaptureReader:
             ts_ms = ts_sec * 1000 + frac // div
             if fast and incl_len >= _FAST_MIN_LEN:
                 # untagged Ethernet, IPv4 first fragment, whole TCP/UDP header
-                etype, vihl, ip_len, frag, proto, src, dst = unpack_ip(buf, start + 12)
+                etype, vihl, ip_len, frag, proto, src, dst, sport, dport = unpack_ip(
+                    buf, start + 12)
                 if etype == _ETH_IPV4 and 0x45 <= vihl <= 0x4F and not frag & 0x1FFF:
                     l4 = start + 14 + (vihl & 0x0F) * 4
                     if proto == PROTO_TCP and pos - l4 >= 20:
-                        sport, dport = unpack_ports(buf, l4)
+                        flags = buf[l4 + 13]
+                    elif proto == PROTO_UDP and pos - l4 >= 8:
+                        flags = 0
+                    else:
+                        flags = -1
+                    if flags >= 0:
+                        if vihl != 0x45:   # options: the ports come later
+                            sport, dport = unpack_ports(buf, l4)
+                        src_name = names.get(src)
+                        if src_name is None:
+                            if len(names) >= _ADDRESS_CACHE_MAX:
+                                names.clear()
+                            src_name = names[src] = ntop(af_inet, src)
+                        dst_name = names.get(dst)
+                        if dst_name is None:
+                            if len(names) >= _ADDRESS_CACHE_MAX:
+                                names.clear()
+                            dst_name = names[dst] = ntop(af_inet, dst)
                         yield new_record(PacketRecord, (
-                            ts_ms, ntop(af_inet, src), ntop(af_inet, dst), sport, dport,
-                            PROTO_TCP, ip_len, buf[l4 + 13], None, None))
-                        continue
-                    if proto == PROTO_UDP and pos - l4 >= 8:
-                        sport, dport = unpack_ports(buf, l4)
-                        yield new_record(PacketRecord, (
-                            ts_ms, ntop(af_inet, src), ntop(af_inet, dst), sport, dport,
-                            PROTO_UDP, ip_len, 0, None, None))
+                            ts_ms, src_name, dst_name, sport, dport, proto, ip_len, flags,
+                            None, None))
                         continue
             rec = decode(ts_ms, buf[start:pos])
             if rec is None:

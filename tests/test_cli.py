@@ -10,7 +10,7 @@ import random
 import pytest
 
 import packetcraft as pc
-from flowlabel import read_flows, read_traffic
+from flowlabel import cli, flow_io, read_flows, read_traffic
 from flowlabel.cli import main
 from flowlabel.flow_io import OUTPUT_COLUMNS, TRAFFIC_COLUMNS
 
@@ -464,6 +464,73 @@ def test_pipeline_with_split_and_stats(tmp_path):
     kinds = [obj["kind"] for obj in lines]
     assert kinds == ["extract", "classes", "taxonomies", "l_histogram", "label"]
     assert lines[0]["packets_decoded"] == 20
+
+
+@pytest.mark.parametrize("every", [1, 3, 20, 21])
+@pytest.mark.parametrize("command, flags", [
+    ("extract", []),
+    ("extract", ["--idle-timeout", "0", "--active-timeout", "0"]),   # no flow until the end
+    ("pipeline", []),
+    ("extract", ["--quiet"]),
+    ("pipeline", ["--quiet"]),
+], ids=["extract", "extract-no-timeouts", "pipeline", "extract-quiet", "pipeline-quiet"])
+def test_progress_lines(tmp_path, capsys, monkeypatch, command, flags, every):
+    monkeypatch.setattr(cli, "PROGRESS_EVERY", every)
+    pcap = small_pcap(tmp_path)   # 20 packets; the first flow comes out after 18
+    argv = [command, "-i", str(pcap), "-o", str(tmp_path / "out.csv"), *flags]
+    if command == "pipeline":
+        argv += ["-c", str(write_log(tmp_path, MIXED_RULE_ROWS))]
+    assert run(*argv) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "packets read" in line]
+    marks = [] if "--quiet" in flags else range(every, 20 + 1, every)
+    assert lines == [f"flowlabel: {m:,} packets read" for m in marks]
+
+
+def test_extract_stats_peak_live_flows(tmp_path):
+    # A, B and C overlap; C's packet 40 s on cuts it (idle 30 s) and carries
+    # the clock past A's and B's timeout, so D joins a table of C and D
+    base = 1_530_453_600_000
+    frames = [(*pc.ms_to_sec_us(base + ms), pc.ethernet(pc.ipv4(src, "198.51.100.5", 6,
+                                                                pc.tcp(1000, 80, pc.ACK))))
+              for ms, src in [(0, "192.0.2.1"), (10, "192.0.2.2"), (20, "192.0.2.3"),
+                              (30, "192.0.2.1"), (40_000, "192.0.2.3"),
+                              (40_100, "192.0.2.4"), (40_200, "192.0.2.4")]]
+    pcap = tmp_path / "overlap.pcap"
+    pcap.write_bytes(pc.pcap(frames))
+    for mode, peak, flows in [("aggregate", 3, 5), ("per-packet", 0, 7)]:
+        stats_path = tmp_path / f"{mode}.jsonl"
+        assert run("extract", "-i", str(pcap), "-o", str(tmp_path / f"{mode}.csv"),
+                   "--mode", mode, "--stats", str(stats_path), "--quiet") == 0
+        (summary,) = [json.loads(line) for line in stats_path.read_text().splitlines()]
+        assert (summary["peak_live_flows"], summary["flows_written"]) == (peak, flows)
+
+
+@pytest.mark.parametrize("command", ["split", "pipeline"])
+def test_failed_split_leaves_no_window_file(tmp_path, capsys, monkeypatch, command):
+    pcap = small_pcap(tmp_path, name="20180701.pcap")   # three 30 s windows
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    out = tmp_path / "out"
+    out.mkdir()
+    labeled = tmp_path / "labeled.csv"
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(labeled), "--quiet") == 0
+    real_open, opened = open, []
+
+    def open_third_fails(file, *args, **kwargs):
+        opened.append(file)
+        if len(opened) == 3:
+            raise OSError(28, "No space left on device")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(flow_io, "open", open_third_fails, raising=False)
+    if command == "split":
+        argv = ["split", "-i", str(labeled), "-o", str(out)]
+    else:
+        argv = ["pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out)]
+    assert run(*argv, "-n", "30", "--quiet") == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(opened) == 3
+    left = [] if command == "split" else ["20180701_mawilab_flow.csv"]
+    assert sorted(p.name for p in out.iterdir()) == left
 
 
 def test_version_flag(capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import os
 import random
+import stat
 
 import pytest
 
@@ -11,6 +13,7 @@ from flowlabel import (FlowKey, FlowRecord, LabeledFlow, MalformedRowError,
                        SchemaMismatchError, flags_from_string,
                        flags_to_string, read_flows, read_traffic,
                        split_by_window, write_flows, write_traffic)
+from flowlabel import flow_io
 from flowlabel.flow_io import (MILLISECONDS, OUTPUT_COLUMNS, SECONDS,
                                TRAFFIC_COLUMNS)
 from flowlabel.pcap_reader import (TCP_ACK, TCP_CWR, TCP_ECE, TCP_FIN,
@@ -393,6 +396,32 @@ def test_split_many_windows_exceeding_open_limit(tmp_path):
     paths = split_by_window(src, 1.0, tmp_path / "win")
     assert len(paths) == 150
     assert all(sum(1 for _ in read_flows(p)) == 3 for p in paths)
+    # the temp files are renamed away, with the mode open() gives a new file
+    assert sorted((tmp_path / "win").iterdir()) == paths
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in paths} == {0o666 & ~umask}
+
+
+@pytest.mark.parametrize("fail_at", [3, 151], ids=["third", "reopen"])
+def test_split_failure_removes_every_window_file(tmp_path, monkeypatch, fail_at):
+    # the 151st open is the append-mode reopen of window 0
+    offsets = [w * 1000 + rep for rep in range(3) for w in range(150)]
+    src = tmp_path / "many.csv"
+    write_flows(stamped(offsets), src)
+    real_open, opened = open, []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        opened.append(mode)
+        if len(opened) == fail_at:
+            raise OSError(5, "Input/output error")
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(flow_io, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="Input/output error"):
+        split_by_window(src, 1.0, tmp_path / "win")
+    assert opened[-1] == ("a" if fail_at == 151 else "w")
+    assert list((tmp_path / "win").iterdir()) == []
 
 
 def test_split_rejects_bad_window(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 import packetcraft as pc
 from flowlabel import NotPcapError, TruncatedFileError, UnsupportedLinkTypeError, open_capture
+from flowlabel import pcap_reader
 from flowlabel.errors import InputFormatError
 from flowlabel.pcap_reader import TCP_ACK, TCP_SYN, PacketRecord
 
@@ -396,7 +397,11 @@ def frames_of(capture: bytes) -> list[bytes]:
     return frames
 
 
-def test_fast_path_matches_frame_decoder(tmp_path):
+@pytest.mark.parametrize("cache_max", [None, 2], ids=["default-cap", "cap-2"])
+def test_fast_path_matches_frame_decoder(tmp_path, monkeypatch, cache_max):
+    # with a cap of 2 the address cache is emptied on most misses
+    if cache_max is not None:
+        monkeypatch.setattr(pcap_reader, "_ADDRESS_CACHE_MAX", cache_max)
     random_trace, _ = pc.random_trace(random.Random(99), 3000, arp_every=11)
     frames = differential_frames() + frames_of(random_trace)
     path = write(tmp_path, pc.pcap([(i, 250, f) for i, f in enumerate(frames)]))
@@ -415,6 +420,17 @@ def test_fast_path_matches_frame_decoder(tmp_path):
         assert fast.skip_reasons == ref.skip_reasons
         assert set(ref.skip_reasons) == {"short link header", "not IP", "short IP header",
                                          "short transport header"}
+
+
+def test_fast_path_shares_address_strings(tmp_path):
+    frames = [tcp_frame(), tcp_frame(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1234),
+              pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 17, pc.udp(53, 53, b"")))]
+    path = write(tmp_path, pc.pcap([(i, 0, f) for i, f in enumerate(frames)]))
+    with open_capture(path) as reader:
+        a, b, c = reader
+    assert a.src_ip == "10.0.0.1" and a.dst_ip == "10.0.0.2"
+    assert a.src_ip is b.dst_ip is c.src_ip
+    assert a.dst_ip is b.src_ip is c.dst_ip
 
 
 # ---------------------------------------------------------------------------
