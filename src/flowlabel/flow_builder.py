@@ -4,6 +4,12 @@ Two modes: `aggregate` merges packets sharing a five-tuple until an idle
 or active timeout cuts the flow; `per-packet` turns every packet into its
 own single-packet flow record.  Both emit flows ordered by flow end time
 (ties by first-seen order) and conserve packet and byte totals exactly.
+
+Each flow is one FlowRecord, built when its first packet arrives and
+updated in place, and one entry in a heap ordered by end time.  With the
+idle timeout disabled no flow can be known to have ended before the input
+does, so every live flow keeps its entry until the end; no benchmark
+workload runs that setting.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ class FlowRecord:
     etime_ms: int
     icmp_type: int | None = None
     icmp_code: int | None = None
-    # metadata with no pcap source; emitted as configured constants
+    # metadata with no pcap source: flows built from packets keep these
+    # defaults, flows read from a CSV carry its cells
     sensor: str = "0"
     input_if: str = "0"
     output_if: str = "0"
@@ -61,42 +68,20 @@ class AggregationConfig:
     idle_timeout_ms: int | None = DEFAULT_IDLE_TIMEOUT_MS      # None = never
     active_timeout_ms: int | None = DEFAULT_ACTIVE_TIMEOUT_MS  # None = never
     reorder_window_ms: int = DEFAULT_REORDER_WINDOW_MS
-    sensor: str = "0"
-    input_if: str = "0"
-    output_if: str = "0"
-    next_hop: str = "0"
-    sensor_class: str = ""
-    flow_type: str = ""
-    attributes: str = ""
-    application: str = ""
 
 
-@dataclass(slots=True)
-class _FlowState:
-    key: FlowKey
-    seq: int
-    stime: int
-    etime: int
-    packets: int
-    bytes: int
-    flags: int
-    initial_flags: int
-    session_flags: int = 0
-    icmp_type: int | None = None
-    icmp_code: int | None = None
-
-
-def _record(st: _FlowState, cfg: AggregationConfig) -> FlowRecord:
-    return FlowRecord(
-        key=st.key, packets=st.packets, bytes=st.bytes, flags=st.flags,
-        initial_flags=st.initial_flags, session_flags=st.session_flags,
-        stime_ms=st.stime, etime_ms=st.etime,
-        icmp_type=st.icmp_type, icmp_code=st.icmp_code,
-        sensor=cfg.sensor, input_if=cfg.input_if, output_if=cfg.output_if,
-        next_hop=cfg.next_hop, sensor_class=cfg.sensor_class,
-        flow_type=cfg.flow_type, attributes=cfg.attributes,
-        application=cfg.application,
-    )
+def _due(heap: list, flows: dict, barrier: float):
+    """Pop and yield, in (etime, first-seen) order, every record in `heap`
+    that ends before `barrier`; a record still in `flows` leaves it."""
+    while heap and heap[0][0] < barrier:
+        t, seq, rec = heap[0]
+        if t < rec.etime_ms:
+            heapq.heapreplace(heap, (rec.etime_ms, seq, rec))
+            continue
+        heapq.heappop(heap)
+        if flows.get(rec.key) is rec:
+            del flows[rec.key]
+        yield rec
 
 
 def build_flows(packets, config: AggregationConfig | None = None, counters=None):
@@ -117,19 +102,18 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     active = never if cfg.active_timeout_ms is None else cfg.active_timeout_ms
     reorder = cfg.reorder_window_ms
     # No flow still active (nor any packet still to come, within tolerance)
-    # can end earlier than clock - barrier_lag, so pending records older
-    # than that are safe to emit.
+    # can end earlier than clock - barrier_lag, so records that end before
+    # that are safe to emit.
     barrier_lag = reorder if per_packet else idle + reorder
 
     # Live flows are keyed by plain 5-tuples, which hash and compare equal
     # to the FlowKey each flow record carries.
-    flows: dict[tuple, _FlowState] = {}
-    # One (etime, seq, key) entry per live flow, pushed when the flow starts
-    # and moved forward only when it surfaces: entries are lower bounds of
-    # their flow's etime, so every flow that ends before the barrier is
-    # still found there.
-    active_heap: list = []
-    pending: list = []       # (etime, seq, FlowRecord)
+    flows: dict[tuple, FlowRecord] = {}
+    # One (etime, seq, record) entry per flow, pushed when the flow starts
+    # and moved forward only when it surfaces: an entry's time is a lower
+    # bound of its record's etime, so every flow that ends before the
+    # barrier is still found there.
+    heap: list = []
     clock = -never
     seq = 0
     peak = 0   # the most live flows held at once
@@ -141,54 +125,34 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
         elif counters is not None and ts < clock - reorder:
             counters["out_of_order"] = counters.get("out_of_order", 0) + 1
 
-        if per_packet:
-            st = _FlowState(FlowKey(src, dst, sport, dport, proto), seq, ts, ts, 1,
-                            ip_len, flags, flags, 0, itype, icode)
-            heapq.heappush(pending, (ts, seq, _record(st, cfg)))
+        key = (src, dst, sport, dport, proto)
+        rec = None if per_packet else flows.get(key)
+        if rec is None or ts - rec.etime_ms > idle or ts - rec.stime_ms > active:
+            # a new flow; one cut by a timeout waits in the heap for its turn
+            rec = FlowRecord(FlowKey._make(key), 1, ip_len, flags, flags, 0,
+                             ts, ts, itype, icode)
+            heapq.heappush(heap, (ts, seq, rec))
             seq += 1
-        else:
-            key = (src, dst, sport, dport, proto)
-            st = flows.get(key)
-            if st is not None:
-                if ts - st.etime > idle or ts - st.stime > active:
-                    del flows[key]
-                    heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))
-                    st = None
-                else:
-                    st.packets += 1
-                    st.bytes += ip_len
-                    st.flags |= flags
-                    st.session_flags |= flags
-                    if ts < st.stime:
-                        st.stime = ts
-                    elif ts > st.etime:
-                        st.etime = ts
-            if st is None:
-                flows[key] = _FlowState(FlowKey._make(key), seq, ts, ts, 1, ip_len,
-                                        flags, flags, 0, itype, icode)
+            if not per_packet:
+                flows[key] = rec
                 if len(flows) > peak:
                     peak = len(flows)
-                if barrier_lag != never:
-                    heapq.heappush(active_heap, (ts, seq, key))
-                seq += 1
+        else:
+            rec.packets += 1
+            rec.bytes += ip_len
+            rec.flags |= flags
+            rec.session_flags |= flags
+            if ts < rec.stime_ms:
+                rec.stime_ms = ts
+            elif ts > rec.etime_ms:
+                rec.etime_ms = ts
 
+        # Checked here so that a packet that ends no flow starts no
+        # generator; every live flow holds an entry, so the heap is not empty.
         barrier = clock - barrier_lag
-        while active_heap and active_heap[0][0] < barrier:
-            _etime, s, key = heapq.heappop(active_heap)
-            st = flows.get(key)
-            if st is None or st.seq != s:
-                continue   # the flow it tracked was cut by a timeout already
-            if st.etime < barrier:
-                del flows[key]
-                heapq.heappush(pending, (st.etime, s, _record(st, cfg)))
-            else:
-                heapq.heappush(active_heap, (st.etime, s, key))
-        while pending and pending[0][0] < barrier:
-            yield heapq.heappop(pending)[2]
+        if heap[0][0] < barrier:
+            yield from _due(heap, flows, barrier)
 
     if counters is not None:
         counters["peak_live_flows"] = peak
-    for st in flows.values():
-        heapq.heappush(pending, (st.etime, st.seq, _record(st, cfg)))
-    while pending:
-        yield heapq.heappop(pending)[2]
+    yield from _due(heap, flows, never)

@@ -73,6 +73,8 @@ def flags_from_string(text: str, row_num: int | None = None) -> int:
 def _render_ms(ms: int, unit: str) -> str:
     if unit == MILLISECONDS:
         return str(ms)
+    if ms < 0:
+        return "-" + _render_ms(-ms, unit)
     return f"{ms // 1000}.{ms % 1000:03d}"
 
 

@@ -10,7 +10,7 @@ import random
 import pytest
 
 import packetcraft as pc
-from flowlabel import cli, flow_io, read_flows, read_traffic
+from flowlabel import FlowKey, FlowRecord, cli, flow_io, read_flows, read_traffic
 from flowlabel.cli import main
 from flowlabel.flow_io import OUTPUT_COLUMNS, TRAFFIC_COLUMNS
 
@@ -263,6 +263,19 @@ def test_sec_rendering_via_cli(tmp_path):
         row = next(csv.reader(fh.readlines()[1:2]))
     assert "." in row[8] and row[8].split(".")[1].isdigit()
     assert len(row[8].split(".")[1]) == 3
+
+
+def test_label_sec_renders_negative_duration(tmp_path):
+    # a flow row whose eTime precedes its sTime keeps its sign in seconds
+    flows_csv = tmp_path / "flows.csv"
+    flow_io.write_traffic([FlowRecord(FlowKey("192.0.2.10", "198.51.100.5", 1234, 80, 6),
+                                      1, 40, 0, 0, 0, 1000, 500)], flows_csv)
+    out = tmp_path / "labeled.csv"
+    assert run("label", "-i", str(flows_csv), "-c", str(write_log(tmp_path, [])),
+               "-o", str(out), "--sec", "--quiet") == 0
+    with out.open() as fh:
+        row = list(csv.reader(fh))[1]
+    assert row[8:11] == ["1.000", "-0.500", "0.500"]
 
 
 def test_split_command(tmp_path, capsys):

@@ -129,12 +129,6 @@ def test_metadata_defaults():
     assert (rec.sensor_class, rec.flow_type, rec.attributes, rec.application) == ("", "", "", "")
 
 
-def test_metadata_configurable():
-    cfg = AggregationConfig(sensor="S1", application="dns")
-    (rec,) = list(build_flows([pkt(0)], cfg))
-    assert rec.sensor == "S1" and rec.application == "dns"
-
-
 def test_empty_input():
     assert list(build_flows([])) == []
 
@@ -280,13 +274,15 @@ def reference_flows(packets, cfg):
     than the active timeout after its earliest, closes the flow and starts
     a new one; once the latest timestamp seen passes a flow's end by idle
     + reorder window, the flow is closed too.  Returns the records as
-    tuples ordered by (etime, first-seen) and the out-of-order count."""
+    tuples ordered by (etime, first-seen), the out-of-order count and the
+    most flows open right after a flow was opened (0 in per-packet mode)."""
     idle, active, reorder = cfg.idle_timeout_ms, cfg.active_timeout_ms, cfg.reorder_window_ms
     per_packet = cfg.mode == MODE_PER_PACKET
     open_flows = {}      # key -> (first-seen number, [packets])
     closed = []
     clock = None
     out_of_order = 0
+    peak = 0
     for p in packets:
         if clock is not None and p.ts_ms < clock - reorder:
             out_of_order += 1
@@ -304,6 +300,7 @@ def reference_flows(packets, cfg):
                 flow = None
         if flow is None:
             flow = open_flows[key] = (len(closed) + len(open_flows), [])
+            peak = max(peak, len(open_flows))
         flow[1].append(p)
         if idle is not None:
             for k in [k for k, (_n, ps) in open_flows.items()
@@ -322,7 +319,7 @@ def reference_flows(packets, cfg):
             len(ps), sum(q.ip_len for q in ps), p0.tcp_flags | session,
             p0.tcp_flags, session, min(times), max(times), p0.icmp_type, p0.icmp_code)))
     records.sort(key=lambda r: (r[0], r[1]))
-    return [r[2] for r in records], out_of_order
+    return [r[2] for r in records], out_of_order, peak
 
 
 def as_tuple(rec):
@@ -353,8 +350,9 @@ def test_build_flows_matches_reference_aggregator(mode):
         arrival = reordered(rng, packets, max_lag)
         counters = {}
         got = [as_tuple(rec) for rec in build_flows(arrival, cfg, counters)]
-        want, out_of_order = reference_flows(arrival, cfg)
+        want, out_of_order, peak = reference_flows(arrival, cfg)
         assert counters.get("out_of_order", 0) == out_of_order
+        assert counters["peak_live_flows"] == peak
         if max_lag <= reorder:
             assert out_of_order == 0
             assert got == want

@@ -8,6 +8,7 @@ import random
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlabel import (FlowKey, FlowRecord, LabeledFlow, MalformedRowError,
                        SchemaMismatchError, flags_from_string,
@@ -136,6 +137,15 @@ def test_millisecond_rendering_is_integer(tmp_path):
     _, row = csv_rows(path)
     assert row[8] == "1530453600123"
     assert row[9] == "100"
+
+
+# Seconds are read back through a float, which holds every millisecond
+# count below 2**51 exactly once rounded; 2**50 ms is some 35,000 years.
+@settings(max_examples=500, deadline=None)
+@given(unit=st.sampled_from([MILLISECONDS, SECONDS]),
+       ms=st.integers(min_value=-2**50, max_value=2**50))
+def test_time_render_parse_round_trip(unit, ms):
+    assert flow_io._parse_time(flow_io._render_ms(ms, unit), 2) == ms
 
 
 def test_unknown_unit_rejected(tmp_path):
