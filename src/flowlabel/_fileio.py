@@ -45,6 +45,18 @@ class _OwningGzipFile(gzip.GzipFile):
                 raw.close()
 
 
+class _WritingGzipFile(gzip.GzipFile):
+    """GzipFile that, when writing its header fails, leaves nothing for
+    its finalizer to write to the file."""
+
+    def __init__(self, *args, **kwargs):
+        try:
+            super().__init__(*args, **kwargs)
+        except BaseException:
+            self.fileobj = None
+            raise
+
+
 def open_binary_read(path):
     """Binary stream of the file's bytes, gunzipped if it is gzip data.
     The file is opened once and sniffed with peek(), so pipes work too.
@@ -160,7 +172,7 @@ def open_text_write(path):
         with raw:
             stream = raw
             if path.endswith(".gz"):
-                gz = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+                gz = _WritingGzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
                 stream = io.BufferedWriter(_GzipOnThread(gz), _GZIP_CHUNK)
             with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
                 yield text

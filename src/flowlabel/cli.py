@@ -25,8 +25,8 @@ from ._fileio import file_stem
 from .errors import InputFormatError
 from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
                            build_flows)
-from .flow_io import (MILLISECONDS, SECONDS, _split_from, split_by_window,
-                      write_flows, write_traffic, read_traffic)
+from .flow_io import (MILLISECONDS, SECONDS, split_by_window, write_flows,
+                      write_traffic, read_traffic)
 from .labeler import CLASS_UNSURE, LabelStats, build_index, label_flows
 from .mawilab_log import DEFAULT_ACCEPTED_LABELS, LABEL_NOTICE, parse_log
 from .pcap_reader import open_capture
@@ -249,7 +249,7 @@ def cmd_pipeline(args) -> int:
 
     if args.window is not None:
         split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
-        created = _split_from(out, args.window, split_dir, earliest.stime_ms)
+        created = split_by_window(out, args.window, split_dir, min_stime=earliest.stime_ms)
         _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
     if args.stats:
         _write_stats_lines(args.stats, [extract_summary, *lines])

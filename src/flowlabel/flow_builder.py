@@ -6,10 +6,7 @@ own single-packet flow record.  Both emit flows ordered by flow end time
 (ties by first-seen order) and conserve packet and byte totals exactly.
 
 Each flow is one FlowRecord, built when its first packet arrives and
-updated in place, and one entry in a heap ordered by end time.  With the
-idle timeout disabled no flow can be known to have ended before the input
-does, so every live flow keeps its entry until the end; no benchmark
-workload runs that setting.
+updated in place, and one entry in a heap ordered by end time.
 """
 
 from __future__ import annotations
@@ -103,8 +100,9 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     reorder = cfg.reorder_window_ms
     # No flow still active (nor any packet still to come, within tolerance)
     # can end earlier than clock - barrier_lag, so records that end before
-    # that are safe to emit.
-    barrier_lag = reorder if per_packet else idle + reorder
+    # that are safe to emit.  A packet more than the shorter timeout after a
+    # flow's end is also that far after its start, so it cuts the flow.
+    barrier_lag = reorder if per_packet else min(idle, active) + reorder
 
     # Live flows are keyed by plain 5-tuples, which hash and compare equal
     # to the FlowKey each flow record carries.

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import os
 from collections import OrderedDict
+from operator import itemgetter
 from pathlib import Path
 
 from ._fileio import file_stem, open_text_read, open_text_write, publish, temp_beside
@@ -70,12 +71,19 @@ def flags_from_string(text: str, row_num: int | None = None) -> int:
     return bits
 
 
-def _render_ms(ms: int, unit: str) -> str:
-    if unit == MILLISECONDS:
-        return str(ms)
+def _seconds_text(ms: int) -> str:
     if ms < 0:
-        return "-" + _render_ms(-ms, unit)
+        return "-" + _seconds_text(-ms)
     return f"{ms // 1000}.{ms % 1000:03d}"
+
+
+def _time_renderer(unit: str):
+    """The function that turns a millisecond count into its cell in `unit`."""
+    if unit == MILLISECONDS:
+        return int
+    if unit == SECONDS:
+        return _seconds_text
+    raise ValueError(f"unknown time unit {unit!r}")
 
 
 def _parse_time(cell: str, row_num: int) -> int:
@@ -95,54 +103,29 @@ def _int(cell: str, row_num: int, col: str) -> int:
         raise MalformedRowError(f"row {row_num}: bad integer in {col}: {cell!r}") from exc
 
 
-def _check_unit(unit: str):
-    if unit not in (MILLISECONDS, SECONDS):
-        raise ValueError(f"unknown time unit {unit!r}")
-
-
 # ---------------------------------------------------------------------------
 # row rendering / parsing
 
-def _traffic_fields(flow: FlowRecord, unit: str) -> list[str]:
-    key = flow.key
-    return [
-        key.src_ip,
-        key.dst_ip,
-        str(key.src_port),
-        str(key.dst_port),
-        str(key.proto),
-        str(flow.packets),
-        str(flow.bytes),
-        flags_to_string(flow.flags),
-        _render_ms(flow.stime_ms, unit),
-        _render_ms(flow.duration_ms, unit),
-        _render_ms(flow.etime_ms, unit),
-        flow.sensor,
-        flow.input_if,
-        flow.output_if,
-        flow.next_hop,
-        flow.sensor_class,
-        flow.flow_type,
-        "" if flow.icmp_type is None else str(flow.icmp_type),
-        "" if flow.icmp_code is None else str(flow.icmp_code),
-        flags_to_string(flow.initial_flags),
-        flags_to_string(flow.session_flags),
-        flow.attributes,
-        flow.application,
-    ]
+def _traffic_fields(flow: FlowRecord, time) -> tuple:
+    """The 23 traffic cells of `flow`, its times rendered by `time`.  The
+    cells are values: csv.writer writes ints as str() does, None as ""."""
+    return (*flow.key, flow.packets, flow.bytes, _FLAG_STRINGS[flow.flags],
+            time(flow.stime_ms), time(flow.duration_ms), time(flow.etime_ms),
+            flow.sensor, flow.input_if, flow.output_if, flow.next_hop,
+            flow.sensor_class, flow.flow_type, flow.icmp_type, flow.icmp_code,
+            _FLAG_STRINGS[flow.initial_flags], _FLAG_STRINGS[flow.session_flags],
+            flow.attributes, flow.application)
 
 
-def _label_fields(labeled: LabeledFlow) -> list[str]:
+_NORMAL_CELLS = (CLASS_NORMAL, "", CLASS_NORMAL, 0, 0, 0)
+# class, taxonomy, mawilab_label, heuristic, distance, nb_detectors
+_LABEL_CELLS = itemgetter(1, 2, 6, 3, 4, 5)
+
+
+def _label_fields(labeled: LabeledFlow) -> tuple:
     if labeled.class_label == CLASS_NORMAL:
-        return [CLASS_NORMAL, "", CLASS_NORMAL, "0", "0", "0"]
-    return [
-        labeled.class_label,
-        labeled.taxonomy,
-        labeled.mawilab_label,
-        str(labeled.heuristic),
-        str(labeled.distance),
-        str(labeled.nb_detectors),
-    ]
+        return _NORMAL_CELLS
+    return _LABEL_CELLS(labeled)
 
 
 _INT_COLUMNS = ((2, "sPort"), (3, "dPort"), (4, "proto"), (5, "packets"), (6, "bytes"))
@@ -234,9 +217,9 @@ def _read_csv(path, columns):
 
 def write_flows(flows, path, time_unit: str = MILLISECONDS) -> int:
     """Write LabeledFlows as the 29-column schema; returns rows written."""
-    _check_unit(time_unit)
+    time = _time_renderer(time_unit)
     return _write_csv(
-        (_traffic_fields(lf.flow, time_unit) + _label_fields(lf) for lf in flows),
+        (_traffic_fields(lf.flow, time) + _label_fields(lf) for lf in flows),
         path, OUTPUT_COLUMNS,
     )
 
@@ -249,9 +232,9 @@ def read_flows(path):
 
 def write_traffic(flows, path, time_unit: str = MILLISECONDS) -> int:
     """Write unlabeled FlowRecords as the 23 traffic columns."""
-    _check_unit(time_unit)
+    time = _time_renderer(time_unit)
     return _write_csv(
-        (_traffic_fields(flow, time_unit) for flow in flows),
+        (_traffic_fields(flow, time) for flow in flows),
         path, TRAFFIC_COLUMNS,
     )
 
@@ -326,36 +309,27 @@ class _WindowWriters:
                 os.unlink(tmp)
 
 
-def split_by_window(input_path, window_s: float, outdir) -> list[Path]:
+def split_by_window(input_path, window_s: float, outdir, *,
+                    min_stime: int | None = None) -> list[Path]:
     """Split a labeled CSV into per-window files.
 
     A row belongs to window floor((sTime - min sTime) / window_s); windows
     are half-open, so a flow exactly on a boundary starts the next window.
-    Returns the created paths ordered by window index; a header-only input
-    creates nothing and returns an empty list.
+    A caller that wrote the input may pass its least sTime as `min_stime`,
+    which spares a scan of the input.  Returns the created paths ordered by
+    window index; a header-only input creates nothing and returns an empty
+    list.
     """
-    _window_ms(window_s)   # a bad window fails before the input is read
-    min_stime = None
-    for _row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
-        stime = _parse_time(row[_STIME_COL], _row_num)
-        if min_stime is None or stime < min_stime:
-            min_stime = stime
-    return _split_from(input_path, window_s, outdir, min_stime)
-
-
-def _window_ms(window_s: float) -> int:
     window_ms = round(window_s * 1000)
-    if window_ms <= 0:
+    if window_ms <= 0:   # fails before the input is read
         raise ValueError(f"window must be positive, got {window_s}")
-    return window_ms
-
-
-def _split_from(input_path, window_s: float, outdir, min_stime: int | None) -> list[Path]:
-    """split_by_window for a caller that already knows the least sTime of
-    the input's rows (None: the input has no rows)."""
-    window_ms = _window_ms(window_s)
     if min_stime is None:
-        return []
+        for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
+            stime = _parse_time(row[_STIME_COL], row_num)
+            if min_stime is None or stime < min_stime:
+                min_stime = stime
+        if min_stime is None:
+            return []
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     writers = _WindowWriters(outdir, file_stem(input_path))

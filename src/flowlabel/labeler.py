@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .flow_builder import FlowKey, FlowRecord
@@ -38,23 +38,13 @@ CLASS_UNSURE = "unsure"
 # the winner.
 _MASKS = tuple(sorted(range(1, 16), key=lambda m: (m.bit_count(), m), reverse=True))
 
-
-def _projection(getter, fields):
-    """Getter for the values of `fields` as a tuple (a 1-tuple for one)."""
-    get = getter(*fields)
-    if len(fields) == 1:
-        return lambda obj: (get(obj),)
-    return get
-
-
-def _projections(getter, fields):
-    return {m: _projection(getter, [f for bit, f in zip((8, 4, 2, 1), fields) if m & bit])
-            for m in _MASKS}
-
-
-_ENTRY_PROJECTION = _projections(attrgetter, ("dip", "sip", "dport", "sport"))
-# FlowKey positions of dst_ip, src_ip, dst_port, src_port
-_FLOW_PROJECTION = _projections(itemgetter, (1, 0, 3, 2))
+# The probe key of each mask: IdsLogEntry and FlowKey both hold (sip,
+# dip, sport, dport) at positions 0-3, so one getter projects an entry and
+# a flow key alike, in dip, sip, dport, sport order; a one-attribute
+# mask's key is the bare value.
+_PROJECTION = {
+    m: itemgetter(*[pos for bit, pos in zip((8, 4, 2, 1), (1, 0, 3, 2)) if m & bit])
+    for m in _MASKS}
 
 
 class LabeledFlow(NamedTuple):
@@ -84,12 +74,12 @@ class LabelStats:
 
 class MatchIndex:
     def __init__(self):
-        # one table per mask, in precedence order
-        self.maps: dict[int, dict[tuple, IdsLogEntry]] = {m: {} for m in _MASKS}
+        # one table per mask, in precedence order, keyed by the mask's projection
+        self.maps: dict[int, dict[object, IdsLogEntry]] = {m: {} for m in _MASKS}
         self.size = 0
         # the dip, sip, dport and sport values the entries use
         self.values: tuple[set, set, set, set] = (set(), set(), set(), set())
-        # per presence pattern: (flow projection, table) of each non-empty
+        # per presence pattern: (projection, table) of each non-empty
         # table whose mask lies inside the pattern, in precedence order
         self.probes: tuple[tuple, ...] = ((),) * 16
 
@@ -105,7 +95,7 @@ def build_index(entries) -> MatchIndex:
     for entry in entries:
         _, mask = specificity(entry)
         slot = index.maps[mask]
-        vals = _ENTRY_PROJECTION[mask](entry)
+        vals = _PROJECTION[mask](entry)
         current = slot.get(vals)
         if current is None or precedence_key(entry) > precedence_key(current):
             slot[vals] = entry
@@ -114,7 +104,7 @@ def build_index(entries) -> MatchIndex:
             if value is not None:
                 used.add(value)
     index.probes = tuple(
-        tuple((_FLOW_PROJECTION[mask], table) for mask, table in index.maps.items()
+        tuple((_PROJECTION[mask], table) for mask, table in index.maps.items()
               if table and mask & pattern == mask)
         for pattern in range(16))
     return index

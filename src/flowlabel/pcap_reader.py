@@ -187,12 +187,14 @@ class CaptureReader:
             have += len(chunk)
         return b"".join(parts)
 
-    def _short_read(self, detail):
-        """The error for a stream with too few bytes left: a held-back read
-        error if there is one, else a TruncatedFileError saying `detail`."""
+    def _short_read(self, offset, detail):
+        """The error for a stream that ends inside the record at byte
+        `offset`: a held-back read error if there is one, else a
+        TruncatedFileError naming the record and saying `detail`."""
         exc = self._read_error
         if exc is None:
-            return TruncatedFileError(f"{self.path}: {detail}")
+            return TruncatedFileError(
+                f"{self.path}: record {self.records_read + 1} at byte {offset}: {detail}")
         if isinstance(exc, EOFError):
             err = TruncatedFileError(f"{self.path}: compressed stream ends early")
             err.__cause__ = exc
@@ -217,22 +219,26 @@ class CaptureReader:
         div = 1_000_000 if self.nanosecond else 1000
         buf = b""
         pos = size = 0
+        base = 24   # the stream offset of buf[0]
         while True:
             if size - pos < 16:
+                base += pos
                 buf = self._fill(buf[pos:], 16)
                 pos, size = 0, len(buf)
                 if size < 16:
                     if size == 0 and self._read_error is None:
                         return
-                    raise self._short_read("file ends inside a packet record header")
+                    raise self._short_read(base, "file ends inside a packet record header")
             ts_sec, frac, incl_len, _orig = unpack_hdr(buf, pos)
             start = pos + 16
             pos = start + incl_len
             if pos > size:
+                base += start
                 buf = self._fill(buf[start:], incl_len)
                 start, pos, size = 0, incl_len, len(buf)
                 if size < incl_len:
-                    raise self._short_read(f"record claims {incl_len} bytes, only {size} remain")
+                    raise self._short_read(
+                        base - 16, f"claims {incl_len} bytes, only {size} remain")
             self.records_read += 1
             ts_ms = ts_sec * 1000 + frac // div
             if fast and incl_len >= _FAST_MIN_LEN:

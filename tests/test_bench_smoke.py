@@ -47,3 +47,6 @@ def test_traced_cli_layers(tmp_path):
     with (out / "trace_mawilab_flow.csv").open() as fh:
         rows = sum(1 for _ in fh) - 1
     assert rows > 0 and layers["counts"]["flow_builder.flows"] == rows
+    # the split of `pipeline -n` is timed as its own layer
+    assert layers["seconds"]["flow_io.split_s"] > 0
+    assert layers["counts"]["flow_io.split_files"] == len(list(out.glob("*_w*.csv"))) > 0

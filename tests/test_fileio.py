@@ -4,9 +4,11 @@ a failed write must leave neither a file nor a thread behind."""
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import random
+import sys
 import threading
 
 import pytest
@@ -130,3 +132,29 @@ def test_failed_write_leaves_no_file_and_no_thread(tmp_path, monkeypatch, name, 
         assert (raw.failed_in is threading.main_thread()) == (fail_at >= 12)
     assert list(out.iterdir()) == []
     assert threading.active_count() == before
+
+
+def test_failed_gzip_header_leaves_nothing_to_finalize(tmp_path, monkeypatch):
+    # the header is the first write; the GzipFile whose construction failed
+    # there must not write to the closed file once it is collected.  Its
+    # finalizer reports that error only in development mode (-X dev), so
+    # the write count is what shows it.
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(FailingFile(open(*args, **kwargs), 1))
+        return opened[-1]
+
+    monkeypatch.setattr(_fileio, "open", failing_open, raising=False)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OSError, match="No space left"):
+        with open_text_write(out / "out.csv.gz"):
+            pass
+    gc.collect()
+    (raw,) = opened
+    assert raw.writes == 1
+    assert unraisable == []
+    assert list(out.iterdir()) == []

@@ -264,6 +264,21 @@ def test_streaming_emission_before_end():
     assert sum(r.packets for r in rest) == 200
 
 
+def test_active_timeout_alone_emits_before_end():
+    # with only the active timeout set, a flow that can gain no packet must
+    # still be yielded while the input is being consumed
+    def gen():
+        yield pkt(0)
+        yield pkt(100)
+        for i in range(200):
+            yield pkt(200_000 + i * 10, src="10.0.0.5")
+        raise AssertionError("input read to the end before the first flow")
+
+    it = build_flows(gen(), AggregationConfig(idle_timeout_ms=None, active_timeout_ms=3000))
+    first = next(it)
+    assert first.packets == 2 and first.etime_ms == 100
+
+
 # ---------------------------------------------------------------------------
 # differential test against a naive reference aggregator
 
@@ -272,10 +287,11 @@ def reference_flows(packets, cfg):
     keeps the list of its open flow's packets, in arrival order.  A packet
     more than the idle timeout after the flow's latest packet, or more
     than the active timeout after its earliest, closes the flow and starts
-    a new one; once the latest timestamp seen passes a flow's end by idle
-    + reorder window, the flow is closed too.  Returns the records as
-    tuples ordered by (etime, first-seen), the out-of-order count and the
-    most flows open right after a flow was opened (0 in per-packet mode)."""
+    a new one; once the latest timestamp seen passes a flow's end by the
+    shorter timeout + reorder window, the flow is closed too.  Returns the
+    records as tuples ordered by (etime, first-seen), the out-of-order
+    count and the most flows open right after a flow was opened (0 in
+    per-packet mode)."""
     idle, active, reorder = cfg.idle_timeout_ms, cfg.active_timeout_ms, cfg.reorder_window_ms
     per_packet = cfg.mode == MODE_PER_PACKET
     open_flows = {}      # key -> (first-seen number, [packets])
@@ -283,6 +299,7 @@ def reference_flows(packets, cfg):
     clock = None
     out_of_order = 0
     peak = 0
+    horizon = min((t for t in (idle, active) if t is not None), default=None)
     for p in packets:
         if clock is not None and p.ts_ms < clock - reorder:
             out_of_order += 1
@@ -302,9 +319,9 @@ def reference_flows(packets, cfg):
             flow = open_flows[key] = (len(closed) + len(open_flows), [])
             peak = max(peak, len(open_flows))
         flow[1].append(p)
-        if idle is not None:
+        if horizon is not None:
             for k in [k for k, (_n, ps) in open_flows.items()
-                      if max(q.ts_ms for q in ps) < clock - idle - reorder]:
+                      if max(q.ts_ms for q in ps) < clock - horizon - reorder]:
                 closed.append(open_flows.pop(k))
     closed.extend(open_flows.values())
     records = []

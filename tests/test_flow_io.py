@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 import random
 import stat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowlabel import (FlowKey, FlowRecord, LabeledFlow, MalformedRowError,
                        SchemaMismatchError, flags_from_string,
@@ -145,7 +146,75 @@ def test_millisecond_rendering_is_integer(tmp_path):
 @given(unit=st.sampled_from([MILLISECONDS, SECONDS]),
        ms=st.integers(min_value=-2**50, max_value=2**50))
 def test_time_render_parse_round_trip(unit, ms):
-    assert flow_io._parse_time(flow_io._render_ms(ms, unit), 2) == ms
+    cell = str(flow_io._time_renderer(unit)(ms))   # csv.writer renders with str()
+    assert flow_io._parse_time(cell, 2) == ms
+
+
+def reference_rows(flows, unit):
+    """Rows with every cell rendered to text one at a time: str() for ints
+    and floats, "" for None, seconds as [-]S.mmm; normal rows get the fixed
+    label tail."""
+    def when(ms):
+        if unit == MILLISECONDS:
+            return str(ms)
+        return ("-" if ms < 0 else "") + f"{abs(ms) // 1000}.{abs(ms) % 1000:03d}"
+
+    def opt(value):
+        return "" if value is None else str(value)
+
+    for item in flows:
+        flow = item.flow if isinstance(item, LabeledFlow) else item
+        k = flow.key
+        cells = [k.src_ip, k.dst_ip, str(k.src_port), str(k.dst_port), str(k.proto),
+                 str(flow.packets), str(flow.bytes), flags_to_string(flow.flags),
+                 when(flow.stime_ms), when(flow.etime_ms - flow.stime_ms),
+                 when(flow.etime_ms), flow.sensor, flow.input_if, flow.output_if,
+                 flow.next_hop, flow.sensor_class, flow.flow_type, opt(flow.icmp_type),
+                 opt(flow.icmp_code), flags_to_string(flow.initial_flags),
+                 flags_to_string(flow.session_flags), flow.attributes, flow.application]
+        if flow is not item:
+            if item.class_label == "normal":
+                cells += ["normal", "", "normal", "0", "0", "0"]
+            else:
+                cells += [item.class_label, item.taxonomy, item.mawilab_label,
+                          str(item.heuristic), str(item.distance), str(item.nb_detectors)]
+        yield cells
+
+
+def reference_bytes(flows, unit, columns) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(reference_rows(flows, unit))
+    return out.getvalue().encode("utf-8")
+
+
+_BIG = st.integers(min_value=-2**70, max_value=2**70)
+# cells csv.writer must quote or keep as they are
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "7", ".", "é"]), max_size=6)
+_FLOWS = st.builds(
+    FlowRecord, key=st.builds(FlowKey, _TEXT, _TEXT, _BIG, _BIG, _BIG),
+    packets=_BIG, bytes=_BIG, flags=st.integers(0, 255),
+    initial_flags=st.integers(0, 255), session_flags=st.integers(0, 255),
+    stime_ms=_BIG, etime_ms=_BIG, icmp_type=st.none() | _BIG, icmp_code=st.none() | _BIG,
+    sensor=_TEXT, input_if=_TEXT, output_if=_TEXT, next_hop=_TEXT, sensor_class=_TEXT,
+    flow_type=_TEXT, attributes=_TEXT, application=_TEXT)
+_LABELED = st.builds(
+    LabeledFlow, flow=_FLOWS, class_label=st.sampled_from(["normal", "anomaly", "unsure"]),
+    taxonomy=_TEXT, heuristic=_BIG, distance=st.floats() | _BIG, nb_detectors=_BIG,
+    mawilab_label=_TEXT)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_LABELED, max_size=8), unit=st.sampled_from([MILLISECONDS, SECONDS]))
+def test_writers_match_per_cell_text_rendering(tmp_path, rows, unit):
+    path = tmp_path / "out.csv"
+    assert write_flows(rows, path, time_unit=unit) == len(rows)
+    assert path.read_bytes() == reference_bytes(rows, unit, OUTPUT_COLUMNS)
+    flows = [lf.flow for lf in rows]
+    assert write_traffic(flows, path, time_unit=unit) == len(flows)
+    assert path.read_bytes() == reference_bytes(flows, unit, TRAFFIC_COLUMNS)
 
 
 def test_unknown_unit_rejected(tmp_path):

@@ -100,14 +100,20 @@ def test_index_placement():
     assert index.maps[0b1010][("198.51.100.5", 80)] is R4
 
 
+def test_entry_and_flow_key_share_the_four_tuple_layout():
+    # one getter per mask projects both, reading positions 0-3 of either
+    assert IdsLogEntry._fields[:4] == ("sip", "dip", "sport", "dport")
+    assert FlowKey._fields[:4] == ("src_ip", "dst_ip", "src_port", "dst_port")
+
+
 def test_duplicate_slot_keeps_earlier_row():
     a = make_entry(sport=443, taxonomy="first", file_order=0)
     b = make_entry(sport=443, taxonomy="second", file_order=1)
     index = build_index([a, b])
-    assert index.maps[0b0001][(443,)] is a
+    assert index.maps[0b0001][443] is a
     # insertion order does not matter
     index2 = build_index([b, a])
-    assert index2.maps[0b0001][(443,)] is a
+    assert index2.maps[0b0001][443] is a
 
 
 def test_empty_index_gives_normal():

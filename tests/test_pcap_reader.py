@@ -474,14 +474,30 @@ def test_plain_truncation_keeps_whole_records(tmp_path):
             want = list(reader)
         assert got == want == everything[:len(want)]
         rest = len(cut_data) - len(prefix)
+        where = f"{path}: record {reader.records_read + 1} at byte {len(prefix)}"
         if rest == 0:
             assert message is None
         elif rest < 16:
-            assert message == f"{path}: file ends inside a packet record header"
+            assert message == f"{where}: file ends inside a packet record header"
         else:
             incl_len = struct.unpack_from("<I", cut_data, len(prefix) + 8)[0]
-            assert message == (f"{path}: record claims {incl_len} bytes, "
-                               f"only {rest - 16} remain")
+            assert message == f"{where}: claims {incl_len} bytes, only {rest - 16} remain"
+
+
+@pytest.mark.parametrize("name", ["cut.pcap", "cut.pcap.gz"])
+def test_truncation_names_record_and_stream_offset(tmp_path, name):
+    # over two of the decoder's read blocks, so the offset spans refills;
+    # a gzipped capture counts decompressed bytes
+    data, _ = pc.random_trace(random.Random(1357), 8000)
+    assert len(data) > 2 * 256 * 1024
+    last = len(complete_prefix(data[:-1]))   # where the last record starts
+    with open_capture(write(tmp_path, data[:last], "prefix.pcap")) as reader:
+        list(reader)
+    for cut in (last + 8, last + 20):        # inside its header, inside its frame
+        packed = gzip.compress(data[:cut], mtime=0) if name.endswith(".gz") else data[:cut]
+        path = write(tmp_path, packed, name)
+        _, message, _ = read_until_error(path)
+        assert message.startswith(f"{path}: record {reader.records_read + 1} at byte {last}: ")
 
 
 def test_gzip_truncation_keeps_every_recoverable_record(tmp_path):
