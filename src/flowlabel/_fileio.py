@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import shutil
 import stat
 import tempfile
 import threading
@@ -155,6 +156,32 @@ def publish(tmp, path):
     os.replace(tmp, path)
 
 
+def _in_place(path: str) -> bool:
+    """Whether `path` is written in place: it is a FIFO, device or symlink
+    (/dev/stdout), which a rename would replace rather than write."""
+    return os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+
+
+@contextmanager
+def staged_path(path):
+    """The path at which to write the file meant for `path`: the same name
+    in a new temp directory beside it, renamed over `path` when the block
+    ends without error, so names derived from it hold and a failed block
+    leaves `path` as it was.  A path written in place is given as is."""
+    path = os.fspath(path)
+    if _in_place(path):
+        yield path
+        return
+    directory, name = os.path.split(path)
+    tmpdir = tempfile.mkdtemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        staged = os.path.join(tmpdir, name)
+        yield staged
+        os.replace(staged, path)
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
 @contextmanager
 def open_text_write(path):
     """Text stream writing `path`, gzipped when the name ends in .gz.  A new
@@ -163,7 +190,7 @@ def open_text_write(path):
     FIFO, device or symlink (/dev/stdout) is written in place."""
     path = os.fspath(path)
     tmp = None
-    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+    if _in_place(path):
         raw = open(path, "wb")
     else:
         fd, tmp = temp_beside(path)

@@ -21,7 +21,7 @@ import sys
 import zlib
 
 from . import __version__
-from ._fileio import file_stem
+from ._fileio import file_stem, staged_path
 from .errors import InputFormatError
 from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
                            build_flows)
@@ -153,9 +153,11 @@ def _load_index(log_csv, args):
         accepted.add(LABEL_NOTICE)
     log_counters = {}
     entries = parse_log(log_csv, accepted, log_counters)
-    return build_index(entries), {
+    index = build_index(entries)
+    return index, {
         "log_entries": len(entries),
         "log_rows_skipped_by_label": log_counters.get("skipped_label", 0),
+        "log_rules_shadowed": index.shadowed,
     }
 
 
@@ -175,8 +177,10 @@ class _Earliest:
 
 
 def _write_labeled(flows, index, log_summary, out_path, args,
-                   earliest: _Earliest | None = None) -> tuple[LabelStats, list]:
-    """Label the flow stream and write it; returns the stats and their lines.
+                   earliest: _Earliest | None = None,
+                   write_path=None) -> tuple[LabelStats, list]:
+    """Label the flow stream and write it to `write_path` (by default
+    `out_path`, the name reported); returns the stats and their lines.
     `earliest`, when given, watches the rows written."""
     stats = LabelStats()
     labeled = label_flows(flows, index, stats)
@@ -184,7 +188,7 @@ def _write_labeled(flows, index, log_summary, out_path, args,
         labeled = (lf for lf in labeled if lf.class_label != CLASS_UNSURE)
     if earliest is not None:
         labeled = earliest.watch(labeled)
-    rows = write_flows(labeled, out_path, _unit(args))
+    rows = write_flows(labeled, write_path or out_path, _unit(args))
 
     counts = dict(sorted(stats.class_counts.items()))
     _say(args.quiet,
@@ -242,15 +246,18 @@ def cmd_pipeline(args) -> int:
     counters = {}
     # a split needs the least sTime written; noting it spares a read of the output
     earliest = _Earliest() if args.window is not None else None
-    with open_capture(args.input) as reader:
-        stats, lines = _write_labeled(_flows(reader, args, counters), index, log_summary,
-                                      out, args, earliest)
-        extract_summary = _extract_summary(reader, counters, stats.rows, args)
-
-    if args.window is not None:
-        split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
-        created = split_by_window(out, args.window, split_dir, min_stime=earliest.stime_ms)
-        _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
+    # the labeled CSV, staged under its own name, replaces `out` only once
+    # the split has published the window files named after it
+    with staged_path(out) as staged:
+        with open_capture(args.input) as reader:
+            stats, lines = _write_labeled(_flows(reader, args, counters), index,
+                                          log_summary, out, args, earliest, staged)
+            extract_summary = _extract_summary(reader, counters, stats.rows, args)
+        if args.window is not None:
+            split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
+            created = split_by_window(staged, args.window, split_dir,
+                                      min_stime=earliest.stime_ms)
+            _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
     if args.stats:
         _write_stats_lines(args.stats, [extract_summary, *lines])
     return EXIT_OK

@@ -77,6 +77,8 @@ class MatchIndex:
         # one table per mask, in precedence order, keyed by the mask's projection
         self.maps: dict[int, dict[object, IdsLogEntry]] = {m: {} for m in _MASKS}
         self.size = 0
+        # entries that lost their slot to a greater entry with equal values
+        self.shadowed = 0
         # the dip, sip, dport and sport values the entries use
         self.values: tuple[set, set, set, set] = (set(), set(), set(), set())
         # per presence pattern: (projection, table) of each non-empty
@@ -90,21 +92,41 @@ class MatchIndex:
 def build_index(entries) -> MatchIndex:
     """Place each entry in the map of its non-null subset; when two entries
     claim the same subset and values, the greater by the total order keeps
-    the slot (the loser could never win a match anyway)."""
+    the slot (the loser could never win a match anyway) and the loser is
+    counted in `shadowed`."""
     index = MatchIndex()
+    maps = index.maps
+    dips, sips, dports, sports = index.values
+    size = shadowed = 0
     for entry in entries:
-        _, mask = specificity(entry)
-        slot = index.maps[mask]
-        vals = _PROJECTION[mask](entry)
-        current = slot.get(vals)
-        if current is None or precedence_key(entry) > precedence_key(current):
-            slot[vals] = entry
-        index.size += 1
-        for used, value in zip(index.values, (entry.dip, entry.sip, entry.dport, entry.sport)):
-            if value is not None:
-                used.add(value)
+        sip, dip, sport, dport = entry[:4]
+        mask = 0
+        if dip is not None:
+            mask = 8
+            dips.add(dip)
+        if sip is not None:
+            mask |= 4
+            sips.add(sip)
+        if dport is not None:
+            mask |= 2
+            dports.add(dport)
+        if sport is not None:
+            mask |= 1
+            sports.add(sport)
+        slot = maps[mask]
+        key = _PROJECTION[mask](entry)
+        current = slot.get(key)
+        if current is None:
+            slot[key] = entry
+        else:
+            shadowed += 1
+            if precedence_key(entry) > precedence_key(current):
+                slot[key] = entry
+        size += 1
+    index.size = size
+    index.shadowed = shadowed
     index.probes = tuple(
-        tuple((_PROJECTION[mask], table) for mask, table in index.maps.items()
+        tuple((_PROJECTION[mask], table) for mask, table in maps.items()
               if table and mask & pattern == mask)
         for pattern in range(16))
     return index

@@ -5,6 +5,13 @@ anomaly metadata (taxonomy, heuristic code, distance, detector count) and
 one of the labels anomalous / suspicious / notice.  Only rows whose label
 is accepted become entries; by default that means anomalous and
 suspicious, matching how the published datasets were built.
+
+A null attribute is an empty cell or the word null in any case, with or
+without whitespace around it; "", "null", "NULL" and "Null" are
+recognized as they stand, any other spelling after strip() and lower().
+Within one parse_log call, entries share their address strings: each
+distinct IP cell is parsed once, and every row that spells an address
+the same way gets the same str object.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import csv
 import ipaddress
 import socket
+from operator import itemgetter
 from typing import NamedTuple
 
 from ._fileio import open_text_read
@@ -69,6 +77,10 @@ def precedence_key(entry: IdsLogEntry) -> tuple[int, int, int]:
     return l_value, weight, -entry.file_order
 
 
+# the null spellings tested as they stand; others are found by _is_null
+_NULLS = frozenset(("", "null", "NULL", "Null"))
+
+
 def _is_null(cell: str) -> bool:
     cell = cell.strip()
     return cell == "" or cell.lower() == "null"
@@ -101,6 +113,35 @@ def _parse_port(cell: str, row_num: int, col: str) -> int:
     return port
 
 
+def _address(cell: str, row_num: int, col: str, known: dict) -> str | None:
+    """The address in an IP cell that is not a common null spelling, or
+    None for a null; an address is remembered in `known` under its cell."""
+    if _is_null(cell):
+        return None
+    text = known[cell] = _parse_ip(cell, row_num, col)
+    return text
+
+
+def _checked_fields(row_num, sip, dip, sport_cell, dport_cell, heuristic_cell,
+                    distance_cell, nb_detectors_cell):
+    """sport, dport, heuristic, distance and nb_detectors of a row whose
+    cells the plain int()/float() pass did not take, each checked in turn
+    so that the row's first fault is the one raised."""
+    sport = None if _is_null(sport_cell) else _parse_port(sport_cell, row_num, "sport")
+    dport = None if _is_null(dport_cell) else _parse_port(dport_cell, row_num, "dport")
+    if sip is None and dip is None and sport is None and dport is None:
+        raise AllNullTupleError(f"row {row_num}: all four flow attributes are null")
+    try:
+        heuristic = int(heuristic_cell.strip())
+        distance = float(distance_cell.strip())
+        nb_detectors = int(nb_detectors_cell.strip())
+    except ValueError as exc:
+        raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
+    if nb_detectors < 0:
+        raise MalformedRowError(f"row {row_num}: negative nbDetectors")
+    return sport, dport, heuristic, distance, nb_detectors
+
+
 def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     """Read a log CSV and return the accepted rows as IdsLogEntry values.
 
@@ -110,9 +151,15 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     in input order, 0-based.
     """
     accepted = {lbl.strip().lower() for lbl in accepted_labels}
+    # label cells that match as they stand, without strip() and lower()
+    verbatim = {lbl for lbl in accepted if lbl.strip().lower() == lbl}
     entries = []
+    append = entries.append
+    new_entry = tuple.__new__
+    nulls = _NULLS
     skipped = 0
     strings = {}   # one object per distinct taxonomy and label
+    addresses = {}   # IP cell -> its address, for each cell that parsed
     with open_text_read(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -127,42 +174,61 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
         for required in _REQUIRED:
             if required not in cols:
                 raise MissingColumnError(f"{path}: header lacks column {required!r}")
+        width = len(header)
+        cells = itemgetter(*[cols[name] for name in _REQUIRED])
 
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < len(header):
-                raise MalformedRowError(f"row {row_num}: {len(row)} cells, header has {len(header)}")
-            label = row[cols["label"]].strip().lower()
-            if label not in accepted:
-                skipped += 1
-                continue
-            sip_cell = row[cols["sip"]]
-            dip_cell = row[cols["dip"]]
-            sport_cell = row[cols["sport"]]
-            dport_cell = row[cols["dport"]]
-            sip = None if _is_null(sip_cell) else _parse_ip(sip_cell, row_num, "sip")
-            dip = None if _is_null(dip_cell) else _parse_ip(dip_cell, row_num, "dip")
-            sport = None if _is_null(sport_cell) else _parse_port(sport_cell, row_num, "sport")
-            dport = None if _is_null(dport_cell) else _parse_port(dport_cell, row_num, "dport")
-            if sip is None and dip is None and sport is None and dport is None:
-                raise AllNullTupleError(f"row {row_num}: all four flow attributes are null")
+            if len(row) < width:
+                raise MalformedRowError(f"row {row_num}: {len(row)} cells, header has {width}")
+            (sip_cell, sport_cell, dip_cell, dport_cell, taxonomy, heuristic_cell,
+             distance_cell, nb_detectors_cell, label) = cells(row)
+            if label not in verbatim:
+                label = label.strip().lower()
+                if label not in accepted:
+                    skipped += 1
+                    continue
+            if sip_cell in nulls:
+                sip = None
+            else:
+                sip = addresses.get(sip_cell)
+                if sip is None:
+                    sip = _address(sip_cell, row_num, "sip", addresses)
+            if dip_cell in nulls:
+                dip = None
+            else:
+                dip = addresses.get(dip_cell)
+                if dip is None:
+                    dip = _address(dip_cell, row_num, "dip", addresses)
+            # int() and float() strip the whitespace themselves; a row with
+            # a cell they refuse, a port out of range, a negative count or
+            # no attribute goes to _checked_fields, which names its fault
             try:
-                heuristic = int(row[cols["heuristic"]].strip())
-                distance = float(row[cols["distance"]].strip())
-                nb_detectors = int(row[cols["nbdetectors"]].strip())
-            except ValueError as exc:
-                raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
-            if nb_detectors < 0:
-                raise MalformedRowError(f"row {row_num}: negative nbDetectors")
-            taxonomy = row[cols["taxonomy"]]
-            entries.append(IdsLogEntry(
+                sport = None if sport_cell in nulls else int(sport_cell)
+                dport = None if dport_cell in nulls else int(dport_cell)
+                heuristic = int(heuristic_cell)
+                distance = float(distance_cell)
+                nb_detectors = int(nb_detectors_cell)
+                regular = (
+                    (sport is None or 0 <= sport <= 65535)
+                    and (dport is None or 0 <= dport <= 65535)
+                    and nb_detectors >= 0
+                    and (sip is not None or dip is not None
+                         or sport is not None or dport is not None))
+            except ValueError:
+                regular = False
+            if not regular:
+                sport, dport, heuristic, distance, nb_detectors = _checked_fields(
+                    row_num, sip, dip, sport_cell, dport_cell, heuristic_cell,
+                    distance_cell, nb_detectors_cell)
+            append(new_entry(IdsLogEntry, (
                 sip, dip, sport, dport,
                 strings.setdefault(taxonomy, taxonomy),
                 heuristic, distance, nb_detectors,
                 strings.setdefault(label, label),
                 len(entries),
-            ))
+            )))
     if counters is not None:
         counters["skipped_label"] = counters.get("skipped_label", 0) + skipped
         counters["accepted"] = counters.get("accepted", 0) + len(entries)

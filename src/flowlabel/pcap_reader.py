@@ -189,14 +189,16 @@ class CaptureReader:
 
     def _short_read(self, offset, detail):
         """The error for a stream that ends inside the record at byte
-        `offset`: a held-back read error if there is one, else a
-        TruncatedFileError naming the record and saying `detail`."""
+        `offset`: a TruncatedFileError naming the record and saying
+        `detail`, or that the compressed stream ends early, or else a
+        held-back read error."""
         exc = self._read_error
         if exc is None:
             return TruncatedFileError(
                 f"{self.path}: record {self.records_read + 1} at byte {offset}: {detail}")
         if isinstance(exc, EOFError):
-            err = TruncatedFileError(f"{self.path}: compressed stream ends early")
+            err = TruncatedFileError(f"{self.path}: record {self.records_read + 1} "
+                                     f"at byte {offset}: compressed stream ends early")
             err.__cause__ = exc
             return err
         return exc

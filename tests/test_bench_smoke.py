@@ -50,3 +50,40 @@ def test_traced_cli_layers(tmp_path):
     # the split of `pipeline -n` is timed as its own layer
     assert layers["seconds"]["flow_io.split_s"] > 0
     assert layers["counts"]["flow_io.split_files"] == len(list(out.glob("*_w*.csv"))) > 0
+
+
+def test_traced_cli_log_layers(tmp_path):
+    # the log is parsed and indexed by the calls the tracer wraps, so its
+    # entries and the index's non-empty tables are counted
+    rng = random.Random(7)
+    trace = tmp_path / "trace.pcap"
+    trace.write_bytes(pc.random_trace(rng, 300)[0])
+    rows, accepted, masks = [], 0, set()
+    for _ in range(400):
+        mask = rng.randrange(1, 16)
+        label = rng.choice(["anomalous", "suspicious", "notice"])
+        rows.append(",".join([
+            f"10.0.0.{rng.randrange(256)}" if mask & 4 else "null",
+            str(rng.randrange(65536)) if mask & 1 else "",
+            f"10.0.1.{rng.randrange(256)}" if mask & 8 else "",
+            str(rng.randrange(65536)) if mask & 2 else "NULL",
+            "sYNscan", "1", "0.5", "2", label]))
+        if label != "notice":
+            accepted += 1
+            masks.add(mask)
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(
+        ["sip,sport,dip,dport,taxonomy,heuristic,distance,nbDetectors,label", *rows]) + "\n")
+    report = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(report),
+         "pipeline", "-i", str(trace), "-c", str(log), "-o", str(tmp_path / "out.csv"),
+         "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    layers = json.loads(report.read_text())
+    assert layers["counts"]["mawilab_log.entries"] == accepted > 0
+    assert layers["counts"]["labeler.masks_nonempty"] == len(masks) > 1
+    assert layers["seconds"]["mawilab_log.parse_s"] > 0
+    assert layers["seconds"]["labeler.index_build_s"] > 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import os
 import random
 
 import pytest
@@ -229,6 +230,28 @@ def test_label_stats_file(tmp_path):
     assert sum(classes["counts"].values()) == classes["rows"]
     assert classes["rows"] == len(list(read_flows(out)))
     assert kinds["label"]["rows_written"] == classes["rows"]
+
+
+def test_label_stats_count_shadowed_rules(tmp_path):
+    pcap = small_pcap(tmp_path)
+    flows_csv = tmp_path / "flows.csv"
+    run("extract", "-i", str(pcap), "-o", str(flows_csv), "--quiet")
+    # a later rule with the sip and dip of the one that wins flow
+    # 192.0.2.11 -> 198.51.100.5 loses its slot, and so labels nothing
+    rows = [*MIXED_RULE_ROWS, "192.0.2.11,,198.51.100.5,,ptmpICMP,24,0.8,1,anomalous",
+            "192.0.2.99,,,,t,1,1.0,1,notice"]
+    stats_path = tmp_path / "stats.jsonl"
+    outputs = []
+    for name, log_rows in (("base", MIXED_RULE_ROWS), ("dup", rows)):
+        out = tmp_path / f"{name}.csv"
+        run("label", "-i", str(flows_csv), "-c", str(write_log(tmp_path, log_rows, f"{name}.log")),
+            "-o", str(out), "--stats", str(stats_path), "--quiet")
+        outputs.append(out.read_bytes())
+    (label,) = [obj for obj in map(json.loads, stats_path.read_text().splitlines())
+                if obj["kind"] == "label"]
+    assert (label["log_entries"], label["log_rows_skipped_by_label"],
+            label["log_rules_shadowed"]) == (5, 1, 1)
+    assert outputs[0] == outputs[1]
 
 
 def test_label_threads_match_sequential(tmp_path):
@@ -542,8 +565,29 @@ def test_failed_split_leaves_no_window_file(tmp_path, capsys, monkeypatch, comma
     assert run(*argv, "-n", "30", "--quiet") == 3
     assert "No space left on device" in capsys.readouterr().err
     assert len(opened) == 3
-    left = [] if command == "split" else ["20180701_mawilab_flow.csv"]
-    assert sorted(p.name for p in out.iterdir()) == left
+    # nor the labeled CSV of `pipeline -n`, nor its staging directory
+    assert list(out.iterdir()) == []
+
+
+def test_failed_split_keeps_existing_labeled_csv(tmp_path, capsys, monkeypatch):
+    pcap = small_pcap(tmp_path, name="20180701.pcap")   # three 30 s windows
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text("earlier run\n")
+    real_open = open
+
+    def open_window_fails(file, *args, **kwargs):
+        if os.fspath(file).endswith(".tmp"):
+            raise OSError(28, "No space left on device")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(flow_io, "open", open_window_fails, raising=False)
+    argv = ["pipeline", "-i", str(pcap), "-c", str(log), "-o", str(labeled), "-n", "30"]
+    assert run(*argv, "--quiet") == 3
+    capsys.readouterr()
+    assert labeled.read_text() == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [labeled.name, log.name, pcap.name])
 
 
 def test_version_flag(capsys):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from flowlabel import (CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, FlowKey,
                        FlowRecord, IdsLogEntry, LabelStats, assign_class,
                        build_index, label_flows, label_one, match_flow)
-from flowlabel.labeler import _MASKS
+from flowlabel.labeler import _MASKS, _PROJECTION
 
 
 def make_entry(sip=None, sport=None, dip=None, dport=None, taxonomy="t",
@@ -114,6 +114,8 @@ def test_duplicate_slot_keeps_earlier_row():
     # insertion order does not matter
     index2 = build_index([b, a])
     assert index2.maps[0b0001][443] is a
+    # the loser is counted either way; a rule alone shadows nothing
+    assert (index.shadowed, index2.shadowed, build_index([a]).shadowed) == (1, 1, 0)
 
 
 def test_empty_index_gives_normal():
@@ -348,3 +350,59 @@ def test_first_hit_equals_scan_oracle(entries, keys):
     index = build_index(entries)
     for key in keys:
         assert match_flow(index, key) is scan_oracle(entries, key)
+
+
+def naive_index(entries):
+    """(maps, values, probe masks, size, shadowed) of an index built the
+    plain way: each entry goes to the table of its presence mask, keyed by
+    its non-null values in dip, sip, dport, sport order (the bare value
+    when there is one), and the greatest (count, mask, -file_order) of the
+    entries claiming a slot keeps it."""
+    order = sorted(range(1, 16), key=lambda m: (bin(m).count("1"), m), reverse=True)
+    maps = {m: {} for m in order}
+    values = (set(), set(), set(), set())
+    shadowed = 0
+    for e in entries:
+        attrs = (e.dip, e.sip, e.dport, e.sport)
+        mask = sum(bit for bit, v in zip((8, 4, 2, 1), attrs) if v is not None)
+        present = tuple(v for v in attrs if v is not None)
+        key = present[0] if len(present) == 1 else present
+        held = maps[mask].get(key)
+        if held is not None:
+            shadowed += 1
+        if held is None or -e.file_order > -held.file_order:
+            maps[mask][key] = e
+        for used, v in zip(values, attrs):
+            if v is not None:
+                used.add(v)
+    probes = [[m for m in order if maps[m] and m & pattern == m] for pattern in range(16)]
+    return maps, values, probes, len(entries), shadowed
+
+
+def probe_masks(index):
+    """index.probes with each table named by its mask, checking that each
+    table is probed through its mask's projection."""
+    masks = []
+    for probes in index.probes:
+        masks.append([])
+        for project, table in probes:
+            (mask,) = [m for m, t in index.maps.items() if t is table]
+            assert project is _PROJECTION[mask]
+            masks[-1].append(mask)
+    return masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=_logs())
+def test_build_index_matches_naive_index(entries):
+    # _logs numbers the rules in a random file order, so a duplicate may
+    # come before or after the rule it collides with; both orders are run
+    for ordered in (entries, entries[::-1]):
+        index = build_index(iter(ordered))
+        maps, values, probes, size, shadowed = naive_index(ordered)
+        assert list(index.maps) == list(maps)
+        assert index.maps == maps
+        assert all(index.maps[m][k] is e for m in maps for k, e in maps[m].items())
+        assert index.values == values
+        assert probe_masks(index) == probes
+        assert (index.size, index.shadowed) == (size, shadowed)

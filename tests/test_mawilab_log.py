@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import gzip
 import ipaddress
 import random
 import socket
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowlabel import (AllNullTupleError, IdsLogEntry, MalformedRowError,
                        MissingColumnError, parse_log, precedence_key,
@@ -248,6 +250,9 @@ def test_label_case_and_whitespace(tmp_path):
     assert e.mawilab_label == LABEL_ANOMALOUS
     # taxonomy text is copied through untouched
     assert e.taxonomy == "ptmp ICMP"
+    # an accepted label is normalized too, and so is the label stored
+    (e,) = parse_log(path, accepted_labels={" Anomalous "})
+    assert e.mawilab_label == LABEL_ANOMALOUS
 
 
 def test_taxonomy_and_label_strings_shared(tmp_path):
@@ -255,6 +260,14 @@ def test_taxonomy_and_label_strings_shared(tmp_path):
     a, b, c = parse_log(path)
     assert a.taxonomy is b.taxonomy is c.taxonomy
     assert a.mawilab_label is b.mawilab_label is c.mawilab_label
+
+
+def test_address_strings_shared(tmp_path):
+    path = write_log(tmp_path, ["10.0.0.1,,10.0.0.2,,t,1,1.0,1,anomalous",
+                                "10.0.0.2,,10.0.0.1,,t,1,1.0,1,anomalous"])
+    a, b = parse_log(path)
+    assert (a.sip, a.dip) == (b.dip, b.sip) == ("10.0.0.1", "10.0.0.2")
+    assert a.sip is b.dip and a.dip is b.sip
 
 
 @pytest.mark.parametrize("cell, text", [
@@ -338,3 +351,154 @@ def test_parse_ip_accepts_what_ipaddress_accepts():
         expected = str(ip) if scoped else socket.inet_ntop(family, ip.packed)
         assert _parse_ip(cell, 2, "sip") == expected
     assert 5_000 < accepted < 25_000    # both outcomes well drawn
+
+
+# ---------------------------------------------------------------------------
+# differential test of parse_log against the plain per-row parser
+
+def _reference_null(cell):
+    return cell.strip() == "" or cell.strip().lower() == "null"
+
+
+def _reference_port(cell, row_num, col):
+    try:
+        port = int(cell.strip())
+    except ValueError as exc:
+        raise MalformedRowError(f"row {row_num}: bad port in {col}: {cell!r}") from exc
+    if not 0 <= port <= 65535:
+        raise MalformedRowError(f"row {row_num}: port out of range in {col}: {port}")
+    return port
+
+
+def reference_parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
+    """parse_log as a plain loop: every cell looked up by column name,
+    stripped, and tested and parsed on its own."""
+    accepted = {lbl.strip().lower() for lbl in accepted_labels}
+    entries = []
+    skipped = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        aliases = {"srcip": "sip", "srcport": "sport", "dstip": "dip", "dstport": "dport"}
+        cols = {}
+        for idx, name in enumerate(header):
+            name = name.strip().lower()
+            cols.setdefault(aliases.get(name, name), idx)
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise MalformedRowError(f"row {row_num}: {len(row)} cells, header has {len(header)}")
+            label = row[cols["label"]].strip().lower()
+            if label not in accepted:
+                skipped += 1
+                continue
+            tuple4 = {}
+            for col in ("sip", "dip", "sport", "dport"):
+                cell = row[cols[col]]
+                if _reference_null(cell):
+                    tuple4[col] = None
+                elif col in ("sip", "dip"):
+                    tuple4[col] = _parse_ip(cell, row_num, col)
+                else:
+                    tuple4[col] = _reference_port(cell, row_num, col)
+            if all(v is None for v in tuple4.values()):
+                raise AllNullTupleError(f"row {row_num}: all four flow attributes are null")
+            try:
+                heuristic = int(row[cols["heuristic"]].strip())
+                distance = float(row[cols["distance"]].strip())
+                nb_detectors = int(row[cols["nbdetectors"]].strip())
+            except ValueError as exc:
+                raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
+            if nb_detectors < 0:
+                raise MalformedRowError(f"row {row_num}: negative nbDetectors")
+            entries.append(IdsLogEntry(
+                tuple4["sip"], tuple4["dip"], tuple4["sport"], tuple4["dport"],
+                row[cols["taxonomy"]], heuristic, distance, nb_detectors, label,
+                len(entries)))
+    if counters is not None:
+        counters["skipped_label"] = counters.get("skipped_label", 0) + skipped
+        counters["accepted"] = counters.get("accepted", 0) + len(entries)
+    return entries
+
+
+def _spaced(cells):
+    """Each cell as it is, or with whitespace around it, Unicode spaces
+    that str.strip() removes included."""
+    pads = st.sampled_from(["", "", "", " ", "\t", "  ", "\u00a0", "\x1c "])
+    return st.tuples(pads, cells, pads).map("".join)
+
+
+_NULL_CELLS = st.sampled_from(["", "null", "NULL", "Null", "nuLL", "nULL", "NuLl"])
+_GOOD_IPS = st.sampled_from([
+    "10.0.0.1", "192.0.2.44", "2001:db8::1", "2001:DB8:0::1", "::1", "::ffff:10.0.0.1",
+    "::ffff:a00:1", "::10.0.0.1", "fe80::1%eth0", "fe80::1%1"])
+_GOOD_PORTS = st.sampled_from(["+80", "65535", "0", "-0", "08", "1_000", "\u0668\u0660"]) \
+    | st.integers(0, 65535).map(str)
+_GOOD_INTS = st.sampled_from(["+2", "1_0"]) | st.integers(0, 99).map(str)
+_GOOD_FLOATS = st.sampled_from(["0.5", "-0.25", "1e-3", "nan", "-inf"]) \
+    | st.floats().map(repr)
+_LABEL_CELLS = _spaced(st.sampled_from(
+    ["anomalous", "Anomalous", " Anomalous ", "SUSPICIOUS", "suspicious", "notice", "Notice",
+     "NOTICE", "benign", "AnOmAlOuS", ""]))
+_TAXONOMIES = st.sampled_from(["sYNscan", "ptmp ICMP", "", "alphflHTTP"])
+
+
+def _row(ips, ports, ints, floats):
+    return st.tuples(_spaced(_NULL_CELLS | ips), _spaced(_NULL_CELLS | ports),
+                     _spaced(_NULL_CELLS | ips), _spaced(_NULL_CELLS | ports),
+                     _TAXONOMIES, _spaced(ints), _spaced(floats), _spaced(ints), _LABEL_CELLS)
+
+
+# rows that parse, unless all four attributes are null
+_CLEAN_ROWS = _row(_GOOD_IPS, _GOOD_PORTS, _GOOD_INTS, _GOOD_FLOATS)
+# rows whose cells may also be bad IPs, out-of-range ports or bad numbers
+_WILD_ROWS = _row(
+    _GOOD_IPS | st.sampled_from(["299.1.2.3", "10.0.0", "10.0.0.1.", "::g", "1.2.3.4%eth0",
+                                 "host", "0x0a000001"]),
+    _GOOD_PORTS | st.sampled_from(["65536", "-1", "70000", "8 0", "x", "80.0"]),
+    _GOOD_INTS | st.sampled_from(["-3", "1 2", "x", "", "0x1", "3.0"]),
+    _GOOD_FLOATS | st.sampled_from(["1.5 x", "", ".", "1_0.5", "1,5"]))
+
+
+@st.composite
+def _log_rows(draw):
+    """Clean rows and empty lines, with at most one wild row among them."""
+    rows = draw(st.lists(_CLEAN_ROWS | st.just(()), max_size=12))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_WILD_ROWS))
+    return rows
+
+
+_COLUMNS = ["sip", "sport", "dip", "dport", "taxonomy", "heuristic", "distance",
+            "nbDetectors", "label"]
+
+
+def _outcome(parse, path, accepted):
+    counters = {}
+    try:
+        entries = parse(path, accepted, counters)
+    except Exception as exc:   # the class and message are compared
+        return type(exc), str(exc)
+    return entries, counters
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_log_rows(),
+       order=st.permutations(range(len(_COLUMNS))),
+       header=st.sampled_from([_COLUMNS, ["srcIP", "srcPort", "dstIP", "dstPort", *_COLUMNS[4:]],
+                               [c.upper() for c in _COLUMNS]]),
+       accepted=st.sampled_from([DEFAULT_ACCEPTED_LABELS,
+                                 DEFAULT_ACCEPTED_LABELS | {LABEL_NOTICE},
+                                 {" Anomalous "}, {"benign", "NOTICE"}]))
+def test_parse_log_matches_reference(tmp_path, rows, order, header, accepted):
+    path = tmp_path / "log.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([header[i] for i in order])
+        for row in rows:
+            writer.writerow([row[i] for i in order] if row else [])
+    # repr() compares NaN distances, and tells 0.0 from -0.0
+    assert repr(_outcome(parse_log, path, accepted)) == repr(
+        _outcome(reference_parse_log, path, accepted))

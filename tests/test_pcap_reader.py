@@ -515,11 +515,12 @@ def test_gzip_truncation_keeps_every_recoverable_record(tmp_path):
                 open_capture(path)
             continue
         got, message, reader = read_until_error(path)
-        assert message == f"{path}: compressed stream ends early"
         prefix = complete_prefix(recovered)
         with open_capture(write(tmp_path, prefix, f"prefix{i}.pcap")) as ref:
             want = list(ref)
             assert (reader.records_read, reader.skipped) == (ref.records_read, ref.skipped)
+        assert message == (f"{path}: record {ref.records_read + 1} at byte {len(prefix)}: "
+                           "compressed stream ends early")
         assert got == want
 
 
