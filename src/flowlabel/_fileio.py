@@ -1,10 +1,15 @@
-"""File open helpers with transparent gzip.
+"""File open helpers with transparent gzip, and the staging of outputs.
 
 Reading sniffs the 0x1f8b prefix instead of trusting the file name;
 writing compresses when the path ends in .gz, with a fixed gzip mtime so
 identical inputs produce byte-identical outputs, on a worker thread so
-that deflate overlaps the caller's work, and replaces the target only
-once it is complete.
+that deflate overlaps the caller's work.
+
+Every output is staged: written under its final name in a hidden
+`.<name>.XXXXXXXX.tmp/` directory beside it, renamed out only once it is
+complete, and the directory is removed with whatever it still holds when
+the write ends, so a failed run leaves no partial output.  Files that
+open() creates there get the mode of any new file (0o666 & ~umask).
 """
 
 from __future__ import annotations
@@ -85,13 +90,6 @@ def open_text_read(path):
                 f"({exc.reason})") from None
 
 
-def _umask() -> int:
-    # read by setting and restoring it: the process's only umask API
-    umask = os.umask(0o022)
-    os.umask(umask)
-    return umask
-
-
 class _GzipOnThread(io.RawIOBase):
     """Raw writer that compresses each chunk into a GzipFile on a worker
     thread, one chunk in flight at a time.  zlib releases the interpreter
@@ -142,20 +140,6 @@ class _GzipOnThread(io.RawIOBase):
             self._gz.close()
 
 
-def temp_beside(path) -> tuple[int, str]:
-    """mkstemp() beside `path`, named after it: the descriptor and name of a
-    new empty file in which to write `path` before publish() renames it."""
-    directory, name = os.path.split(os.fspath(path))
-    return tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
-
-
-def publish(tmp, path):
-    """Rename the finished temp file `tmp` over `path`, with the mode that
-    open() gives a new file."""
-    os.chmod(tmp, 0o666 & ~_umask())
-    os.replace(tmp, path)
-
-
 def _in_place(path: str) -> bool:
     """Whether `path` is written in place: it is a FIFO, device or symlink
     (/dev/stdout), which a rename would replace rather than write."""
@@ -163,49 +147,42 @@ def _in_place(path: str) -> bool:
 
 
 @contextmanager
+def staging_dir(path):
+    """A new hidden directory `.<name>.XXXXXXXX.tmp` beside `path`, in which
+    to write the files meant for the directory of `path`; it is removed,
+    with whatever it still holds, when the block ends."""
+    directory, name = os.path.split(os.fspath(path))
+    tmpdir = tempfile.mkdtemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        yield tmpdir
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+@contextmanager
 def staged_path(path):
     """The path at which to write the file meant for `path`: the same name
-    in a new temp directory beside it, renamed over `path` when the block
+    in a staging directory beside it, renamed over `path` when the block
     ends without error, so names derived from it hold and a failed block
     leaves `path` as it was.  A path written in place is given as is."""
     path = os.fspath(path)
     if _in_place(path):
         yield path
         return
-    directory, name = os.path.split(path)
-    tmpdir = tempfile.mkdtemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
-    try:
-        staged = os.path.join(tmpdir, name)
+    with staging_dir(path) as tmpdir:
+        staged = os.path.join(tmpdir, os.path.basename(path))
         yield staged
         os.replace(staged, path)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
 
 
 @contextmanager
 def open_text_write(path):
-    """Text stream writing `path`, gzipped when the name ends in .gz.  A new
-    or regular file is written under a temp name beside it and renamed
-    over it only on success, so a failed run leaves no partial output; a
-    FIFO, device or symlink (/dev/stdout) is written in place."""
-    path = os.fspath(path)
-    tmp = None
-    if _in_place(path):
-        raw = open(path, "wb")
-    else:
-        fd, tmp = temp_beside(path)
-        raw = open(fd, "wb")
-    try:
-        with raw:
-            stream = raw
-            if path.endswith(".gz"):
-                gz = _WritingGzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
-                stream = io.BufferedWriter(_GzipOnThread(gz), _GZIP_CHUNK)
-            with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
-                yield text
-        if tmp is not None:
-            publish(tmp, path)
-    except BaseException:
-        if tmp is not None:
-            os.unlink(tmp)
-        raise
+    """Text stream writing `path` at the path staged_path() gives, gzipped
+    when the name ends in .gz; a failed block leaves no partial output."""
+    with staged_path(path) as staged, open(staged, "wb") as raw:
+        stream = raw
+        if staged.endswith(".gz"):
+            gz = _WritingGzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+            stream = io.BufferedWriter(_GzipOnThread(gz), _GZIP_CHUNK)
+        with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
+            yield text

@@ -21,7 +21,7 @@ import sys
 import zlib
 
 from . import __version__
-from ._fileio import file_stem, staged_path
+from ._fileio import file_stem, open_text_write, staged_path
 from .errors import InputFormatError
 from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
                            build_flows)
@@ -110,7 +110,7 @@ def _say(quiet: bool, message: str):
 
 
 def _write_stats_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_text_write(path) as fh:
         for obj in lines:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 

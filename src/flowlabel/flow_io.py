@@ -15,7 +15,7 @@ from collections import OrderedDict
 from operator import itemgetter
 from pathlib import Path
 
-from ._fileio import file_stem, open_text_read, open_text_write, publish, temp_beside
+from ._fileio import file_stem, open_text_read, open_text_write, staging_dir
 from .errors import MalformedRowError, SchemaMismatchError
 from .flow_builder import FlowKey, FlowRecord
 from .labeler import CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, LabeledFlow
@@ -92,7 +92,7 @@ def _parse_time(cell: str, row_num: int) -> int:
         if "." in cell:
             return round(float(cell) * 1000)
         return int(cell)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # OverflowError: 1e999 is inf ms
         raise MalformedRowError(f"row {row_num}: bad time value {cell!r}") from exc
 
 
@@ -252,28 +252,25 @@ _MAX_OPEN_WINDOWS = 64
 
 class _WindowWriters:
     """CSV writers per window, at most _MAX_OPEN_WINDOWS open at once so
-    huge window counts cannot exhaust file descriptors.  Each window is
-    written to a temp file beside its window file; finish() renames them
-    all once the last row is in, discard() deletes them."""
+    huge window counts cannot exhaust file descriptors.  Each window file
+    is written under its own name in a staging directory; finish() moves
+    them all out once the last row is in."""
 
-    def __init__(self, outdir: Path, stem: str):
-        self.outdir = outdir
+    def __init__(self, staging: str, stem: str):
+        self.staging = staging
         self.stem = stem
-        self.temps: dict[int, str] = {}
+        self.windows: set[int] = set()
         self.open: OrderedDict[int, tuple] = OrderedDict()
 
     def row(self, window: int, fields):
         entry = self.open.get(window)
         if entry is None:
-            tmp = self.temps.get(window)
-            first = tmp is None
-            if first:
-                fd, tmp = temp_beside(self._path(window))
-                os.close(fd)
-                self.temps[window] = tmp
-            fh = open(tmp, "w" if first else "a", encoding="utf-8", newline="")
+            first = window not in self.windows
+            fh = open(os.path.join(self.staging, self._name(window)), "w" if first else "a",
+                      encoding="utf-8", newline="")
             entry = self.open[window] = (fh, csv.writer(fh, lineterminator="\n"))
             if first:
+                self.windows.add(window)
                 entry[1].writerow(OUTPUT_COLUMNS)
             if len(self.open) > _MAX_OPEN_WINDOWS:
                 _, (old_fh, _w) = self.open.popitem(last=False)
@@ -282,31 +279,25 @@ class _WindowWriters:
             self.open.move_to_end(window)
         entry[1].writerow(fields)
 
-    def _path(self, window: int) -> Path:
-        return self.outdir / f"{self.stem}_w{window:04d}.csv"
+    def _name(self, window: int) -> str:
+        return f"{self.stem}_w{window:04d}.csv"
 
-    def finish(self) -> list[Path]:
-        """Close the files and rename each over its window file; returns
-        the window files in window order."""
+    def close(self, quiet: bool = False):
+        """Close the open files; `quiet` ignores their errors, which would
+        hide the one that made the split fail."""
         while self.open:
             _window, (fh, _writer) = self.open.popitem(last=False)
-            fh.close()
-        paths = []
-        for window in sorted(self.temps):
-            paths.append(self._path(window))
-            publish(self.temps.pop(window), paths[-1])
-        return paths
-
-    def discard(self):
-        """Close and delete every temp file not yet published.  Errors here
-        are ignored: they would hide the one that made the split fail."""
-        for fh, _writer in self.open.values():
-            with contextlib.suppress(OSError):
+            with contextlib.suppress(OSError if quiet else ()):
                 fh.close()
-        self.open.clear()
-        for tmp in self.temps.values():
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+
+    def finish(self, outdir: Path) -> list[Path]:
+        """Close the files and move each to `outdir`; returns the window
+        files in window order."""
+        self.close()
+        paths = [outdir / self._name(window) for window in sorted(self.windows)]
+        for path in paths:
+            os.replace(os.path.join(self.staging, path.name), path)
+        return paths
 
 
 def split_by_window(input_path, window_s: float, outdir, *,
@@ -332,12 +323,14 @@ def split_by_window(input_path, window_s: float, outdir, *,
             return []
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    writers = _WindowWriters(outdir, file_stem(input_path))
-    try:
-        for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
-            stime = _parse_time(row[_STIME_COL], row_num)
-            writers.row((stime - min_stime) // window_ms, row)
-        return writers.finish()
-    except BaseException:
-        writers.discard()
-        raise
+    stem = file_stem(input_path)
+    with staging_dir(outdir / stem) as staging:
+        writers = _WindowWriters(staging, stem)
+        try:
+            for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
+                stime = _parse_time(row[_STIME_COL], row_num)
+                writers.row((stime - min_stime) // window_ms, row)
+        except BaseException:
+            writers.close(quiet=True)
+            raise
+        return writers.finish(outdir)

@@ -7,6 +7,9 @@ import gzip
 import json
 import os
 import random
+import re
+import stat
+import types
 
 import pytest
 
@@ -577,7 +580,7 @@ def test_failed_split_keeps_existing_labeled_csv(tmp_path, capsys, monkeypatch):
     real_open = open
 
     def open_window_fails(file, *args, **kwargs):
-        if os.fspath(file).endswith(".tmp"):
+        if re.search(r"_w\d{4}\.csv$", os.fspath(file)):   # a window file
             raise OSError(28, "No space left on device")
         return real_open(file, *args, **kwargs)
 
@@ -588,6 +591,75 @@ def test_failed_split_keeps_existing_labeled_csv(tmp_path, capsys, monkeypatch):
     assert labeled.read_text() == "earlier run\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [labeled.name, log.name, pcap.name])
+
+
+def test_pipeline_outputs_get_new_file_mode(tmp_path, new_file_mode):
+    pcap = small_pcap(tmp_path, name="20180701.pcap")   # three 30 s windows
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out), "-n", "30",
+               "--stats", str(out / "stats.jsonl"), "--quiet") == 0
+    made = list(out.iterdir())
+    assert len(made) == 5   # the labeled CSV, three window files and the stats
+    assert {stat.S_IMODE(p.stat().st_mode) for p in made} == {new_file_mode}
+
+
+def test_gz_stats_path_is_gzipped(tmp_path):
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    for name in ["stats.jsonl", "stats.jsonl.gz"]:
+        assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(tmp_path / "out.csv"),
+                   "--stats", str(tmp_path / name), "--quiet") == 0
+    plain = (tmp_path / "stats.jsonl").read_bytes()
+    assert plain.count(b"\n") == 5
+    assert gzip.decompress((tmp_path / "stats.jsonl.gz").read_bytes()) == plain
+
+
+def test_failed_stats_write_leaves_no_stats_file(tmp_path, capsys, monkeypatch):
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    dumped = []
+
+    def dumps_third_fails(obj, **kwargs):
+        dumped.append(obj)
+        if len(dumped) == 3:
+            raise OSError(28, "No space left on device")
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps_third_fails))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out / "labeled.csv"),
+               "--stats", str(out / "stats.jsonl"), "--quiet") == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(dumped) == 3
+    assert [p.name for p in out.iterdir()] == ["labeled.csv"]
+
+
+@pytest.mark.parametrize("cell", ["1.0e999", "-1.0e999"])
+@pytest.mark.parametrize("command", ["label", "split"])
+def test_overflowing_time_cell_is_format_error(tmp_path, capsys, command, cell):
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    src = tmp_path / "in.csv"
+    # label reads a traffic CSV, split a labeled one
+    first = ["extract"] if command == "label" else ["pipeline", "-c", str(log)]
+    assert run(*first, "-i", str(pcap), "-o", str(src), "--quiet") == 0
+    with src.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[-1][8] = cell
+    with src.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "label":
+        argv = ["label", "-i", str(src), "-c", str(log), "-o", str(out / "labeled.csv")]
+    else:
+        argv = ["split", "-i", str(src), "-o", str(out), "-n", "30"]
+    assert run(*argv, "--quiet") == 2
+    assert capsys.readouterr().err == f"flowlabel: row {len(rows)}: bad time value {cell!r}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_version_flag(capsys):

@@ -8,6 +8,7 @@ import gc
 import gzip
 import io
 import random
+import stat
 import sys
 import threading
 
@@ -70,6 +71,14 @@ def test_gzip_writer_matches_plain_gzipfile(tmp_path, counted_threads, size):
     assert threading.active_count() == before
     if size and size > 2 * CHUNK:
         assert counted_threads.started > 1    # compressed off the calling thread
+
+
+@pytest.mark.parametrize("name", ["out.csv", "out.csv.gz"])
+def test_output_gets_new_file_mode(tmp_path, new_file_mode, name):
+    path = tmp_path / name
+    with open_text_write(path) as fh:
+        fh.write("sIP,dIP,sPort\n")
+    assert stat.S_IMODE(path.stat().st_mode) == new_file_mode
 
 
 def test_plain_output_starts_no_thread(tmp_path, counted_threads):

@@ -9,7 +9,7 @@ import random
 import stat
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from flowlabel import (FlowKey, FlowRecord, LabeledFlow, MalformedRowError,
                        SchemaMismatchError, flags_from_string,
@@ -148,6 +148,26 @@ def test_millisecond_rendering_is_integer(tmp_path):
 def test_time_render_parse_round_trip(unit, ms):
     cell = str(flow_io._time_renderer(unit)(ms))   # csv.writer renders with str()
     assert flow_io._parse_time(cell, 2) == ms
+
+
+# float() reads these as +-inf ms, which round() cannot make an int
+OVERFLOWING_TIMES = ["1.0e999", "-1.0e999"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.one_of(
+           st.text(),
+           st.from_regex(r"\s*[-+]?\d{1,400}(\.\d*)?([eE][-+]?\d{1,4})?\s*", fullmatch=True)),
+       row_num=st.integers(min_value=2, max_value=10**9))
+@example(cell=OVERFLOWING_TIMES[0], row_num=2)
+@example(cell=OVERFLOWING_TIMES[1], row_num=2)
+def test_time_cell_parses_or_names_its_row(cell, row_num):
+    try:
+        ms = flow_io._parse_time(cell, row_num)
+    except MalformedRowError as exc:
+        assert str(exc) == f"row {row_num}: bad time value {cell.strip()!r}"
+    else:
+        assert type(ms) is int
 
 
 def reference_rows(flows, unit):
@@ -364,6 +384,32 @@ def test_bad_cells_report_the_first(tmp_path, bad, message):
     with pytest.raises(MalformedRowError) as err:
         list(read_traffic(path))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cell", OVERFLOWING_TIMES)
+@pytest.mark.parametrize("how", ["read_traffic", "read_flows", "split", "split-min-stime"])
+def test_overflowing_time_is_malformed_row(tmp_path, how, cell):
+    path = tmp_path / "bad.csv"
+    flows = [make_flow(), make_flow(sport=1001)]
+    if how == "read_traffic":
+        write_traffic(flows, path)
+    else:
+        write_flows([normal(flow) for flow in flows], path)
+    rows = csv_rows(path)
+    rows[2][8] = cell
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    outdir = tmp_path / "win"
+    with pytest.raises(MalformedRowError) as err:
+        if how == "read_traffic":
+            list(read_traffic(path))
+        elif how == "read_flows":
+            list(read_flows(path))
+        else:   # with min_stime, row 2 is written before row 3 fails
+            split_by_window(path, 5.0, outdir,
+                            min_stime=flows[0].stime_ms if how == "split-min-stime" else None)
+    assert str(err.value) == f"row 3: bad time value {cell!r}"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 def test_bad_class_rejected(tmp_path):
