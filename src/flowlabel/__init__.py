@@ -10,11 +10,11 @@ from .errors import (AllNullTupleError, FlowLabelError, InputFormatError,
 from .pcap_reader import CaptureReader, PacketRecord, open_capture
 from .flow_builder import (AggregationConfig, FlowKey, FlowRecord,
                            MODE_AGGREGATE, MODE_PER_PACKET, build_flows)
-from .mawilab_log import (DEFAULT_ACCEPTED_LABELS, IdsLogEntry, parse_log,
-                          precedence_key, specificity)
+from .mawilab_log import DEFAULT_ACCEPTED_LABELS, IdsLogEntry, parse_log
 from .labeler import (CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, LabelStats,
                       LabeledFlow, MatchIndex, assign_class, build_index,
-                      label_flows, label_one, match_flow)
+                      label_flows, label_one, match_flow, precedence_key,
+                      specificity)
 from .flow_io import (MILLISECONDS, OUTPUT_COLUMNS, SECONDS, TRAFFIC_COLUMNS,
                       flags_from_string, flags_to_string, read_flows,
                       read_traffic, split_by_window, write_flows,

@@ -14,6 +14,7 @@ open() creates there get the mode of any new file (0o666 & ~umask).
 
 from __future__ import annotations
 
+import csv
 import gzip
 import io
 import os
@@ -80,7 +81,8 @@ def open_binary_read(path):
 @contextmanager
 def open_text_read(path):
     """Text stream of the file, gunzipped if need be; a context manager.
-    Bytes that are not UTF-8 raise InputFormatError naming the file."""
+    Bytes that are not UTF-8, and text that a csv reader of the stream
+    refuses, raise InputFormatError naming the file."""
     with io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="") as fh:
         try:
             yield fh
@@ -88,6 +90,8 @@ def open_text_read(path):
             raise InputFormatError(
                 f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
                 f"({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputFormatError(f"{path}: bad CSV: {exc}") from None
 
 
 class _GzipOnThread(io.RawIOBase):
@@ -140,7 +144,7 @@ class _GzipOnThread(io.RawIOBase):
             self._gz.close()
 
 
-def _in_place(path: str) -> bool:
+def written_in_place(path) -> bool:
     """Whether `path` is written in place: it is a FIFO, device or symlink
     (/dev/stdout), which a rename would replace rather than write."""
     return os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
@@ -164,9 +168,10 @@ def staged_path(path):
     """The path at which to write the file meant for `path`: the same name
     in a staging directory beside it, renamed over `path` when the block
     ends without error, so names derived from it hold and a failed block
-    leaves `path` as it was.  A path written in place is given as is."""
-    path = os.fspath(path)
-    if _in_place(path):
+    leaves `path` as it was.  A path written in place is given as is, and
+    so is no path (None or "")."""
+    path = path and os.fspath(path)
+    if not path or written_in_place(path):
         yield path
         return
     with staging_dir(path) as tmpdir:

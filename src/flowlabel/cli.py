@@ -21,7 +21,7 @@ import sys
 import zlib
 
 from . import __version__
-from ._fileio import file_stem, open_text_write, staged_path
+from ._fileio import file_stem, open_text_write, staged_path, written_in_place
 from .errors import InputFormatError
 from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
                            build_flows)
@@ -110,9 +110,13 @@ def _say(quiet: bool, message: str):
 
 
 def _write_stats_lines(path, lines):
-    with open_text_write(path) as fh:
-        for obj in lines:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write the --stats lines to `path`, if there is one.  Callers write
+    them to a staged path before any output is renamed into place, so a
+    failed stats write leaves no data output."""
+    if path:
+        with open_text_write(path) as fh:
+            for obj in lines:
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +180,18 @@ class _Earliest:
             self.stime_ms = least
 
 
-def _write_labeled(flows, index, log_summary, out_path, args,
-                   earliest: _Earliest | None = None,
-                   write_path=None) -> tuple[LabelStats, list]:
-    """Label the flow stream and write it to `write_path` (by default
-    `out_path`, the name reported); returns the stats and their lines.
-    `earliest`, when given, watches the rows written."""
+def _write_labeled(flows, index, log_summary, write_path, out_path, args,
+                   earliest: _Earliest | None = None) -> tuple[LabelStats, list]:
+    """Label the flow stream and write it to `write_path` (`out_path` is
+    the name reported); returns the stats and their lines.  `earliest`,
+    when given, watches the rows written."""
     stats = LabelStats()
     labeled = label_flows(flows, index, stats)
     if args.drop_unsure:
         labeled = (lf for lf in labeled if lf.class_label != CLASS_UNSURE)
     if earliest is not None:
         labeled = earliest.watch(labeled)
-    rows = write_flows(labeled, write_path or out_path, _unit(args))
+    rows = write_flows(labeled, write_path, _unit(args))
 
     counts = dict(sorted(stats.class_counts.items()))
     _say(args.quiet,
@@ -211,11 +214,11 @@ def cmd_extract(args) -> int:
     _require_inputs(args.input)
     out = _resolve_out(args.output, args.input, "_result.data")
     counters = {}
-    with open_capture(args.input) as reader:
-        rows = write_traffic(_flows(reader, args, counters), out, _unit(args))
-        summary = _extract_summary(reader, counters, rows, args, f" -> {out}")
-    if args.stats:
-        _write_stats_lines(args.stats, [summary])
+    with (open_capture(args.input) as reader, staged_path(out) as staged,
+          staged_path(args.stats) as stats_path):
+        rows = write_traffic(_flows(reader, args, counters), staged, _unit(args))
+        _write_stats_lines(stats_path,
+                           [_extract_summary(reader, counters, rows, args, f" -> {out}")])
     return EXIT_OK
 
 
@@ -223,9 +226,10 @@ def cmd_label(args) -> int:
     _require_inputs(args.input, args.classifier)
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
     index, log_summary = _load_index(args.classifier, args)
-    _, lines = _write_labeled(read_traffic(args.input), index, log_summary, out, args)
-    if args.stats:
-        _write_stats_lines(args.stats, lines)
+    with staged_path(out) as staged, staged_path(args.stats) as stats_path:
+        _, lines = _write_labeled(read_traffic(args.input), index, log_summary,
+                                  staged, out, args)
+        _write_stats_lines(stats_path, lines)
     return EXIT_OK
 
 
@@ -242,24 +246,26 @@ def cmd_split(args) -> int:
 def cmd_pipeline(args) -> int:
     _require_inputs(args.input, args.classifier)
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
+    if args.window is not None and written_in_place(out):
+        # the split reads the labeled CSV back, which a FIFO or device can't give
+        raise UsageError(f"-n needs a regular output file, not {out}")
     index, log_summary = _load_index(args.classifier, args)
     counters = {}
     # a split needs the least sTime written; noting it spares a read of the output
     earliest = _Earliest() if args.window is not None else None
-    # the labeled CSV, staged under its own name, replaces `out` only once
-    # the split has published the window files named after it
-    with staged_path(out) as staged:
+    # the labeled CSV and the stats, staged under their own names, replace
+    # theirs only once the split has published the window files
+    with staged_path(out) as staged, staged_path(args.stats) as stats_path:
         with open_capture(args.input) as reader:
             stats, lines = _write_labeled(_flows(reader, args, counters), index,
-                                          log_summary, out, args, earliest, staged)
-            extract_summary = _extract_summary(reader, counters, stats.rows, args)
+                                          log_summary, staged, out, args, earliest)
+            _write_stats_lines(stats_path, [
+                _extract_summary(reader, counters, stats.rows, args), *lines])
         if args.window is not None:
             split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
             created = split_by_window(staged, args.window, split_dir,
                                       min_stime=earliest.stime_ms)
             _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
-    if args.stats:
-        _write_stats_lines(args.stats, [extract_summary, *lines])
     return EXIT_OK
 
 

@@ -1,20 +1,19 @@
-"""Match flow records against IDS log entries and assign classes.
+"""Rank log entries and label flows; mawilab_log only parses the log.
 
 A flow matches an entry when every non-null attribute of the entry equals
-the flow's corresponding attribute (protocol plays no part).  Among all
-matching entries the winner is the maximum under (L, weight, earlier file
-position).  Classes: no match = normal, winner with L=1 = unsure, winner
-with L>1 = anomaly.
+the flow's (protocol plays no part).  The winner among the matches is the
+maximum under precedence_key: (L, weight) from specificity, then the
+earlier file position.  Its L alone gives the class: no match = normal,
+L=1 = unsure, L>1 = anomaly.
 
 MatchIndex holds one hash map per non-empty subset of {dip, sip, dport,
 sport} (tuple space search); an entry lives in the map of exactly its
-non-null subset.  The maps are probed in precedence order, so a lookup
-stops at the first hit.  It also keeps, per attribute, the set of values
-the log uses: a flow whose value is not in that set cannot match any map
-keyed on the attribute, so a lookup first takes the flow's presence
+non-null subset, so entries sharing a slot share (L, weight) and the
+earlier row keeps it.  The maps are probed in precedence order, so a
+lookup stops at the first hit.  Per attribute, the index also keeps the
+set of values the log uses: a lookup first takes the flow's presence
 pattern (four set lookups) and probes only the non-empty maps whose
-subset lies inside it.  Labeling is serial and streams: one flow in, one
-labeled flow out.
+subset lies inside it.
 """
 
 from __future__ import annotations
@@ -25,17 +24,33 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .flow_builder import FlowKey, FlowRecord
-from .mawilab_log import IdsLogEntry, precedence_key, specificity
+from .mawilab_log import IdsLogEntry
 
 CLASS_NORMAL = "normal"
 CLASS_ANOMALY = "anomaly"
 CLASS_UNSURE = "unsure"
 
+
+def specificity(entry: IdsLogEntry) -> tuple[int, int]:
+    """(L, weight) for an entry: L counts non-null four-tuple attributes;
+    weight is the presence bit pattern ordered dip, sip, dport, sport so
+    that plain integer comparison ranks dip > sip > dport > sport."""
+    sip, dip, sport, dport = entry[:4]
+    bits = ((dip is not None) << 3 | (sip is not None) << 2
+            | (dport is not None) << 1 | (sport is not None))
+    return bits.bit_count(), bits
+
+
+def precedence_key(entry: IdsLogEntry) -> tuple[int, int, int]:
+    """Sort key realizing the total order: more attributes win, then the
+    dip > sip > dport > sport weight, then earlier file position."""
+    return *specificity(entry), -entry.file_order
+
+
 # Subset masks of {dip, sip, dport, sport}, bit 8 = dip down to bit 1 =
-# sport, in precedence order: more attributes first, then the higher
-# weight.  An entry's (L, weight) is (popcount, mask) of its own mask, so
-# the first table in this order that holds the flow's projection holds
-# the winner.
+# sport, in precedence order.  An entry's specificity is (popcount, mask)
+# of its own mask, so the first table in this order that holds the flow's
+# projection holds the winner.
 _MASKS = tuple(sorted(range(1, 16), key=lambda m: (m.bit_count(), m), reverse=True))
 
 # The probe key of each mask: IdsLogEntry and FlowKey both hold (sip,
@@ -45,6 +60,9 @@ _MASKS = tuple(sorted(range(1, 16), key=lambda m: (m.bit_count(), m), reverse=Tr
 _PROJECTION = {
     m: itemgetter(*[pos for bit, pos in zip((8, 4, 2, 1), (1, 0, 3, 2)) if m & bit])
     for m in _MASKS}
+
+# The class of a winner with L attributes; L = 0 is no match.
+_CLASS_OF_L = (CLASS_NORMAL, CLASS_UNSURE, CLASS_ANOMALY, CLASS_ANOMALY, CLASS_ANOMALY)
 
 
 class LabeledFlow(NamedTuple):
@@ -77,7 +95,7 @@ class MatchIndex:
         # one table per mask, in precedence order, keyed by the mask's projection
         self.maps: dict[int, dict[object, IdsLogEntry]] = {m: {} for m in _MASKS}
         self.size = 0
-        # entries that lost their slot to a greater entry with equal values
+        # entries that lost their slot to an earlier entry with equal values
         self.shadowed = 0
         # the dip, sip, dport and sport values the entries use
         self.values: tuple[set, set, set, set] = (set(), set(), set(), set())
@@ -91,9 +109,9 @@ class MatchIndex:
 
 def build_index(entries) -> MatchIndex:
     """Place each entry in the map of its non-null subset; when two entries
-    claim the same subset and values, the greater by the total order keeps
-    the slot (the loser could never win a match anyway) and the loser is
-    counted in `shadowed`."""
+    claim the same subset and values, they share (L, weight), so the one
+    earlier in the file keeps the slot (the other could never win a match)
+    and the loser is counted in `shadowed`."""
     index = MatchIndex()
     maps = index.maps
     dips, sips, dports, sports = index.values
@@ -115,12 +133,10 @@ def build_index(entries) -> MatchIndex:
             sports.add(sport)
         slot = maps[mask]
         key = _PROJECTION[mask](entry)
-        current = slot.get(key)
-        if current is None:
-            slot[key] = entry
-        else:
+        current = slot.setdefault(key, entry)
+        if current is not entry:
             shadowed += 1
-            if precedence_key(entry) > precedence_key(current):
+            if entry.file_order < current.file_order:
                 slot[key] = entry
         size += 1
     index.size = size
@@ -150,31 +166,25 @@ def match_flow(index: MatchIndex, key: FlowKey):
 
 
 def assign_class(winner) -> str:
-    if winner is None:
-        return CLASS_NORMAL
-    l_value, _ = specificity(winner)
-    return CLASS_UNSURE if l_value == 1 else CLASS_ANOMALY
-
-
-def _label_with_l(flow: FlowRecord, index: MatchIndex) -> tuple[LabeledFlow, int]:
-    winner = match_flow(index, flow.key)
-    if winner is None:
-        return LabeledFlow(flow, CLASS_NORMAL), 0
-    l_value, _ = specificity(winner)
-    # taxonomy, heuristic, distance, nb_detectors, mawilab_label
-    return LabeledFlow(flow, CLASS_UNSURE if l_value == 1 else CLASS_ANOMALY,
-                       *winner[4:9]), l_value
+    return _CLASS_OF_L[0 if winner is None else specificity(winner)[0]]
 
 
 def label_one(flow: FlowRecord, index: MatchIndex) -> LabeledFlow:
-    return _label_with_l(flow, index)[0]
+    return next(label_flows((flow,), index))
 
 
 def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None):
-    """label_one over the stream, one flow pulled per labeled flow yielded,
-    in input order; counts each result into `stats` when given."""
+    """Each flow labeled by its winner, one flow pulled per labeled flow
+    yielded, in input order; counts each result into `stats` when given.
+    match_flow is looked up at each call, so it can be wrapped."""
     for flow in flows:
-        labeled, winner_l = _label_with_l(flow, index)
+        winner = match_flow(index, flow.key)
+        if winner is None:
+            l_value, labeled = 0, LabeledFlow(flow, CLASS_NORMAL)
+        else:
+            l_value = specificity(winner)[0]
+            # taxonomy, heuristic, distance, nb_detectors, mawilab_label
+            labeled = LabeledFlow(flow, _CLASS_OF_L[l_value], *winner[4:9])
         if stats is not None:
-            stats.add(labeled, winner_l)
+            stats.add(labeled, l_value)
         yield labeled

@@ -1,4 +1,5 @@
-"""Parse MAWILab anomaly log CSV files into validated entries.
+"""Parse MAWILab anomaly log CSV files into validated entries; how the
+entries rank and which class a match gives are decided in labeler.
 
 A log row carries a nullable four-tuple (sip, sport, dip, dport) plus the
 anomaly metadata (taxonomy, heuristic code, distance, detector count) and
@@ -55,26 +56,6 @@ class IdsLogEntry(NamedTuple):
     nb_detectors: int
     mawilab_label: str
     file_order: int
-
-
-def specificity(entry: IdsLogEntry) -> tuple[int, int]:
-    """(L, weight) for an entry: L counts non-null four-tuple attributes;
-    weight is the presence bit pattern ordered dip, sip, dport, sport so
-    that plain integer comparison ranks dip > sip > dport > sport."""
-    bits = (
-        ((entry.dip is not None) << 3)
-        | ((entry.sip is not None) << 2)
-        | ((entry.dport is not None) << 1)
-        | (entry.sport is not None)
-    )
-    return bits.bit_count(), bits
-
-
-def precedence_key(entry: IdsLogEntry) -> tuple[int, int, int]:
-    """Sort key realizing the total order: more attributes win, then the
-    dip > sip > dport > sport weight, then earlier file position."""
-    l_value, weight = specificity(entry)
-    return l_value, weight, -entry.file_order
 
 
 # the null spellings tested as they stand; others are found by _is_null
@@ -151,8 +132,6 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     in input order, 0-based.
     """
     accepted = {lbl.strip().lower() for lbl in accepted_labels}
-    # label cells that match as they stand, without strip() and lower()
-    verbatim = {lbl for lbl in accepted if lbl.strip().lower() == lbl}
     entries = []
     append = entries.append
     new_entry = tuple.__new__
@@ -184,7 +163,7 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
                 raise MalformedRowError(f"row {row_num}: {len(row)} cells, header has {width}")
             (sip_cell, sport_cell, dip_cell, dport_cell, taxonomy, heuristic_cell,
              distance_cell, nb_detectors_cell, label) = cells(row)
-            if label not in verbatim:
+            if label not in accepted:
                 label = label.strip().lower()
                 if label not in accepted:
                     skipped += 1

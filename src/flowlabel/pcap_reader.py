@@ -112,21 +112,19 @@ class CaptureReader:
         self._fh = open_binary_read(path)
         try:
             head = self._read_header(24)
+            magic = _MAGICS.get(head[:4])
+            if magic is None:
+                raise NotPcapError(f"{path}: bad magic {head[:4].hex()}, not a pcap file")
+            self._order, self.nanosecond = magic
+            _, _, _, _, self.snaplen, self.linktype = struct.unpack(
+                self._order + "HHiIII", head[4:])
+            if self.linktype not in SUPPORTED_LINKTYPES:
+                raise UnsupportedLinkTypeError(
+                    f"{path}: link type {self.linktype} not supported "
+                    f"(supported: {', '.join(str(t) for t in SUPPORTED_LINKTYPES)})")
         except Exception:
             self._fh.close()
             raise
-        magic = _MAGICS.get(head[:4])
-        if magic is None:
-            self._fh.close()
-            raise NotPcapError(f"{path}: bad magic {head[:4].hex()}, not a pcap file")
-        self._order, self.nanosecond = magic
-        _, _, _, _, self.snaplen, self.linktype = struct.unpack(self._order + "HHiIII", head[4:])
-        if self.linktype not in SUPPORTED_LINKTYPES:
-            self._fh.close()
-            raise UnsupportedLinkTypeError(
-                f"{path}: link type {self.linktype} not supported "
-                f"(supported: {', '.join(str(t) for t in SUPPORTED_LINKTYPES)})"
-            )
         self.path = path
         self.records_read = 0
         self.skipped = 0

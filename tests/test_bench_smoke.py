@@ -42,8 +42,13 @@ def test_traced_cli_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     layers = json.loads(report.read_text())
     assert layers["exit"] == 0
-    assert layers["seconds"]["pcap_reader.decode_s"] > 0
-    assert layers["seconds"]["flow_builder.aggregate_s"] > 0
+    decode_s = layers["seconds"]["pcap_reader.decode_s"]
+    aggregate_s = layers["seconds"]["flow_builder.aggregate_s"]
+    assert aggregate_s > 0
+    # opening the capture alone reads its header inside the decode span;
+    # the packet stream must be timed there too, and decoding it took
+    # 0.87-0.96 of the aggregation time on this trace
+    assert decode_s >= aggregate_s / 5
     with (out / "trace_mawilab_flow.csv").open() as fh:
         rows = sum(1 for _ in fh) - 1
     assert rows > 0 and layers["counts"]["flow_builder.flows"] == rows

@@ -9,7 +9,10 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -617,24 +620,76 @@ def test_gz_stats_path_is_gzipped(tmp_path):
 
 
 def test_failed_stats_write_leaves_no_stats_file(tmp_path, capsys, monkeypatch):
-    pcap = small_pcap(tmp_path)
+    # the stats are written with the data outputs, before any of them is
+    # renamed into place, so a stats write failing on its last line leaves
+    # no flow, labeled, window or stats file
+    pcap = small_pcap(tmp_path, name="20180701.pcap")   # three 30 s windows
     log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
     dumped = []
 
-    def dumps_third_fails(obj, **kwargs):
+    def dumps_last_fails(obj, **kwargs):
         dumped.append(obj)
-        if len(dumped) == 3:
+        if len(dumped) == last:
             raise OSError(28, "No space left on device")
         return json.dumps(obj, **kwargs)
 
-    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps_third_fails))
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps_last_fails))
+    for argv, last in [(["extract", "-i", str(pcap)], 1),
+                       (["label", "-i", str(flows), "-c", str(log)], 4),
+                       (["pipeline", "-i", str(pcap), "-c", str(log), "-n", "30"], 5)]:
+        dumped.clear()
+        out = tmp_path / argv[0]
+        out.mkdir()
+        assert run(*argv, "-o", str(out / "result.csv"),
+                   "--stats", str(out / "stats.jsonl"), "--quiet") == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(dumped) == last
+        assert list(out.iterdir()) == []
+
+
+def test_pipeline_split_into_fifo_is_usage_error(tmp_path):
+    # the split reads the labeled CSV back, which would block forever on a
+    # FIFO, so the run is refused before any input is read; it runs in a
+    # subprocess so that a hang fails at the timeout
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    fifo = tmp_path / "labeled.fifo"
+    os.mkfifo(fifo)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowlabel", "pipeline", "-i", str(pcap), "-c", str(log),
+         "-o", str(fifo), "-n", "5"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == f"flowlabel: error: -n needs a regular output file, not {fifo}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([pcap.name, log.name, fifo.name])
+
+
+@pytest.mark.parametrize("damaged", ["flows", "log", "labeled"])
+def test_cell_over_csv_field_limit_is_format_error(tmp_path, capsys, damaged):
+    # the csv module refuses a cell over its 128 KiB field limit
+    pcap = small_pcap(tmp_path)
+    files = {"log": write_log(tmp_path, MIXED_RULE_ROWS),
+             "flows": tmp_path / "flows.csv", "labeled": tmp_path / "labeled.csv"}
+    assert run("extract", "-i", str(pcap), "-o", str(files["flows"]), "--quiet") == 0
+    assert run("label", "-i", str(files["flows"]), "-c", str(files["log"]),
+               "-o", str(files["labeled"]), "--quiet") == 0
+    path = files[damaged]
+    path.write_text(path.read_text().replace(",", ",9" + "9" * 140_000 + ",", 1))
     out = tmp_path / "out"
     out.mkdir()
-    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out / "labeled.csv"),
-               "--stats", str(out / "stats.jsonl"), "--quiet") == 3
-    assert "No space left on device" in capsys.readouterr().err
-    assert len(dumped) == 3
-    assert [p.name for p in out.iterdir()] == ["labeled.csv"]
+    if damaged == "labeled":
+        argv = ["split", "-i", str(path), "-o", str(out)]
+    else:
+        argv = ["label", "-i", str(files["flows"]), "-c", str(files["log"]),
+                "-o", str(out / "result.csv")]
+    assert run(*argv, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err == (f"flowlabel: {path}: bad CSV: field larger than field limit (131072)\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("cell", ["1.0e999", "-1.0e999"])
