@@ -227,8 +227,8 @@ def cmd_label(args) -> int:
     out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
     index, log_summary = _load_index(args.classifier, args)
     with staged_path(out) as staged, staged_path(args.stats) as stats_path:
-        _, lines = _write_labeled(read_traffic(args.input), index, log_summary,
-                                  staged, out, args)
+        _, lines = _write_labeled(read_traffic(args.input, verbatim=True), index,
+                                  log_summary, staged, out, args)
         _write_stats_lines(stats_path, lines)
     return EXIT_OK
 

@@ -4,16 +4,25 @@
 Times are stored internally in milliseconds; files render them either as
 integer milliseconds (default) or as seconds with three decimals.  TCP
 flag sets render as SiLK-style letter strings (subset of "FSRPAUEC").
+
+A line already in the form the writer gives (see _VERBATIM_TRAFFIC and
+_window_line) is copied rather than parsed and rendered again: label
+keeps cells 0-7 and 11-22 of such a traffic line, split the whole line.
+Any other line goes through csv, so the output bytes are the same either
+way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
+import re
 from collections import OrderedDict
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from ._fileio import file_stem, open_text_read, open_text_write, staging_dir
 from .errors import MalformedRowError, SchemaMismatchError
@@ -72,9 +81,9 @@ def flags_from_string(text: str, row_num: int | None = None) -> int:
 
 
 def _seconds_text(ms: int) -> str:
-    if ms < 0:
-        return "-" + _seconds_text(-ms)
-    return f"{ms // 1000}.{ms % 1000:03d}"
+    if ms >= 0:
+        return "%d.%03d" % divmod(ms, 1000)
+    return "-%d.%03d" % divmod(-ms, 1000)
 
 
 def _time_renderer(unit: str):
@@ -181,22 +190,122 @@ def _parse_labeled(row: list[str], row_num: int) -> LabeledFlow:
 
 
 # ---------------------------------------------------------------------------
+# lines copied verbatim
+
+# as str(int) renders it, in at most 640 digits: int() may refuse more,
+# and sys.set_int_max_str_digits() cannot set its limit any lower
+_INT = "(?:0|-?[1-9][0-9]{0,639})"
+_FLAGS = "F?S?R?P?A?U?E?C?"         # as _FLAG_STRINGS renders it
+_TEXT = r'[^,"\r\n\x00]*'         # a cell csv reads and writes unchanged
+
+# A traffic line that csv would read as its text split on commas and whose
+# cells 0-7 and 11-22 would be rendered back as they stand: canonical
+# integers and flag strings, times in milliseconds, free text with no `,`,
+# `"`, CR, LF or NUL (csv refuses NUL before Python 3.11).  Groups: cells 0-7
+# as one text, sIP, dIP, sPort, dPort, proto, sTime, eTime, cells 11-22.
+_VERBATIM_TRAFFIC = re.compile(
+    f"(({_TEXT}),({_TEXT}),({_INT}),({_INT}),({_INT}),{_INT},{_INT},{_FLAGS}),"
+    f"({_INT}),{_TEXT},({_INT}),"   # durat is derived, not read back
+    f"({_TEXT}(?:,{_TEXT}){{5}},{_INT}?,{_INT}?,{_FLAGS},{_FLAGS},{_TEXT},{_TEXT})\n"
+).fullmatch
+
+_new = tuple.__new__
+
+
+class _TrafficLine(NamedTuple):
+    """A traffic row kept as the text of its verbatim cells; write_flows
+    renders only its times and its label."""
+    key: FlowKey
+    head: str        # cells 0-7
+    stime_ms: int
+    etime_ms: int
+    tail: str        # cells 11-22
+
+
+def _traffic_line(line: str, row_num: int) -> _TrafficLine | None:
+    match = _VERBATIM_TRAFFIC(line)
+    if match is None:
+        return None
+    head, sip, dip, sport, dport, proto, stime, etime, tail = match.groups()
+    key = _new(FlowKey, (sip, dip, int(sport), int(dport), int(proto)))
+    return _new(_TrafficLine, (key, head, int(stime), int(etime), tail))
+
+
+def _window_line(line: str, row_num: int):
+    """(sTime, line) for a labeled line that csv would read as its text
+    split on commas into 29 cells and write back unchanged; else None."""
+    if ('"' in line or "\r" in line or "\x00" in line or line[-1:] != "\n"
+            or line.count(",") != len(OUTPUT_COLUMNS) - 1):
+        return None
+    return _parse_time(line.split(",", _STIME_COL + 1)[_STIME_COL], row_num), line
+
+
+def _window_row(row: list[str], row_num: int):
+    return _parse_time(row[_STIME_COL], row_num), row
+
+
+def _csv_text(cells) -> str:
+    """`cells` as one csv.writer row, line end included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+class _Lines:
+    """The lines of a text file, a line put `back` coming first: a
+    csv.reader over it reads the record that starts with that line and
+    takes any continuation lines of a quoted cell from the file."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.back = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = self.back
+        if line is None:
+            return next(self.fh)
+        self.back = None
+        return line
+
+
+# ---------------------------------------------------------------------------
 # whole-file operations
 
 def _write_csv(rows, path, columns) -> int:
+    """Write `columns` and then `rows`: a str is written as it stands, any
+    other row through csv.writer."""
     count = 0
     with open_text_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for fields in rows:
-            writer.writerow(fields)
+        write = fh.write
+        writerow = csv.writer(fh, lineterminator="\n").writerow
+        writerow(columns)
+        for row in rows:
+            if type(row) is str:
+                write(row)
+            else:
+                writerow(row)
             count += 1
     return count
 
 
-def _read_csv(path, columns):
+def _read_csv(path, columns, parse, parse_line=None):
+    """parse(cells, row_num) of each data record of the CSV file at `path`,
+    whose header must be `columns`; blank records are skipped.
+
+    With `parse_line`, each line is first offered whole to
+    parse_line(line, row_num), and a value other than None stands for its
+    record.  Every other line goes, with any continuation lines of a
+    quoted cell, through one csv.reader fed from the same line iterator,
+    so records are numbered alike and fail alike either way.  A line over
+    the csv field limit always goes through csv, which judges it.  The
+    parsing runs in the open_text_read block, so its row errors name the
+    file."""
     with open_text_read(path) as fh:
-        reader = csv.reader(fh)
+        lines = _Lines(fh)
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
             raise SchemaMismatchError(f"{path}: empty file, expected a header row")
@@ -205,29 +314,53 @@ def _read_csv(path, columns):
                 f"{path}: header has {len(header)} columns, expected the "
                 f"{len(columns)}-column schema starting {columns[0]},{columns[1]},..."
             )
-        for row_num, row in enumerate(reader, start=2):
+        width = len(columns)
+        # with no parse_line, no line is short enough to skip csv
+        limit = csv.field_size_limit() if parse_line is not None else -1
+        for row_num, line in enumerate(fh, start=2):
+            if len(line) <= limit:
+                value = parse_line(line, row_num)
+                if value is not None:
+                    yield value
+                    continue
+            lines.back = line
+            row = next(reader)
             if not row:
                 continue
-            if len(row) != len(columns):
+            if len(row) != width:
                 raise MalformedRowError(
-                    f"row {row_num}: {len(row)} cells, expected {len(columns)}"
+                    f"row {row_num}: {len(row)} cells, expected {width}"
                 )
-            yield row_num, row
+            yield parse(row, row_num)
+
+
+def _labeled_rows(flows, time):
+    """The rows of LabeledFlows: the cells of a flow, or the text of a
+    _TrafficLine with its times rendered by `time` and its label rendered
+    once per distinct label."""
+    suffixes = {}
+    for lf in flows:
+        flow = lf.flow
+        if type(flow) is not _TrafficLine:
+            yield _traffic_fields(flow, time) + _label_fields(lf)
+            continue
+        label = lf[1:]
+        suffix = suffixes.get(label)
+        if suffix is None:
+            suffix = suffixes[label] = _csv_text(_label_fields(lf))
+        stime, etime = flow.stime_ms, flow.etime_ms
+        yield (f"{flow.head},{time(stime)},{time(etime - stime)},{time(etime)},"
+               f"{flow.tail},{suffix}")
 
 
 def write_flows(flows, path, time_unit: str = MILLISECONDS) -> int:
     """Write LabeledFlows as the 29-column schema; returns rows written."""
-    time = _time_renderer(time_unit)
-    return _write_csv(
-        (_traffic_fields(lf.flow, time) + _label_fields(lf) for lf in flows),
-        path, OUTPUT_COLUMNS,
-    )
+    return _write_csv(_labeled_rows(flows, _time_renderer(time_unit)), path, OUTPUT_COLUMNS)
 
 
 def read_flows(path):
     """Yield LabeledFlows from a 29-column file (unit auto-detected)."""
-    for row_num, row in _read_csv(path, OUTPUT_COLUMNS):
-        yield _parse_labeled(row, row_num)
+    return _read_csv(path, OUTPUT_COLUMNS, _parse_labeled)
 
 
 def write_traffic(flows, path, time_unit: str = MILLISECONDS) -> int:
@@ -239,9 +372,13 @@ def write_traffic(flows, path, time_unit: str = MILLISECONDS) -> int:
     )
 
 
-def read_traffic(path):
-    for row_num, row in _read_csv(path, TRAFFIC_COLUMNS):
-        yield _parse_traffic(row, row_num)
+def read_traffic(path, *, verbatim: bool = False):
+    """Yield FlowRecords from a 23-column file (unit auto-detected).  With
+    `verbatim`, a line whose kept cells write_flows would render as they
+    stand comes as a private _TrafficLine instead, which label_flows and
+    write_flows take like a FlowRecord."""
+    return _read_csv(path, TRAFFIC_COLUMNS, _parse_traffic,
+                     _traffic_line if verbatim else None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +400,7 @@ class _WindowWriters:
         self.open: OrderedDict[int, tuple] = OrderedDict()
 
     def row(self, window: int, fields):
+        """Write `fields` (a line's text, or cells) to `window`."""
         entry = self.open.get(window)
         if entry is None:
             first = window not in self.windows
@@ -277,7 +415,10 @@ class _WindowWriters:
                 old_fh.close()
         else:
             self.open.move_to_end(window)
-        entry[1].writerow(fields)
+        if type(fields) is str:
+            entry[0].write(fields)
+        else:
+            entry[1].writerow(fields)
 
     def _name(self, window: int) -> str:
         return f"{self.stem}_w{window:04d}.csv"
@@ -315,8 +456,7 @@ def split_by_window(input_path, window_s: float, outdir, *,
     if window_ms <= 0:   # fails before the input is read
         raise ValueError(f"window must be positive, got {window_s}")
     if min_stime is None:
-        for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
-            stime = _parse_time(row[_STIME_COL], row_num)
+        for stime, _row in _read_csv(input_path, OUTPUT_COLUMNS, _window_row, _window_line):
             if min_stime is None or stime < min_stime:
                 min_stime = stime
         if min_stime is None:
@@ -327,8 +467,7 @@ def split_by_window(input_path, window_s: float, outdir, *,
     with staging_dir(outdir / stem) as staging:
         writers = _WindowWriters(staging, stem)
         try:
-            for row_num, row in _read_csv(input_path, OUTPUT_COLUMNS):
-                stime = _parse_time(row[_STIME_COL], row_num)
+            for stime, row in _read_csv(input_path, OUTPUT_COLUMNS, _window_row, _window_line):
                 writers.row((stime - min_stime) // window_ms, row)
         except BaseException:
             writers.close(quiet=True)

@@ -77,17 +77,35 @@ class LabeledFlow(NamedTuple):
 
 @dataclass
 class LabelStats:
-    rows: int = 0
-    class_counts: Counter = field(default_factory=Counter)
-    taxonomy_counts: Counter = field(default_factory=Counter)
-    l_histogram: Counter = field(default_factory=Counter)   # winner L; 0 = no match
+    """Flows counted per winner (None = no match); the class, taxonomy and
+    L counts are derived from those counts."""
+    winners: Counter = field(default_factory=Counter)
 
-    def add(self, labeled: LabeledFlow, winner_l: int):
-        self.rows += 1
-        self.class_counts[labeled.class_label] += 1
-        if winner_l:
-            self.taxonomy_counts[labeled.taxonomy] += 1
-        self.l_histogram[winner_l] += 1
+    @property
+    def rows(self) -> int:
+        return sum(self.winners.values())
+
+    @property
+    def l_histogram(self) -> Counter:   # winner L; 0 = no match
+        counts = Counter()
+        for winner, n in self.winners.items():
+            counts[0 if winner is None else specificity(winner)[0]] += n
+        return counts
+
+    @property
+    def class_counts(self) -> Counter:
+        counts = Counter()
+        for l_value, n in self.l_histogram.items():
+            counts[_CLASS_OF_L[l_value]] += n
+        return counts
+
+    @property
+    def taxonomy_counts(self) -> Counter:
+        counts = Counter()
+        for winner, n in self.winners.items():
+            if winner is not None:
+                counts[winner.taxonomy] += n
+        return counts
 
 
 class MatchIndex:
@@ -175,16 +193,16 @@ def label_one(flow: FlowRecord, index: MatchIndex) -> LabeledFlow:
 
 def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None):
     """Each flow labeled by its winner, one flow pulled per labeled flow
-    yielded, in input order; counts each result into `stats` when given.
+    yielded, in input order; counts each winner into `stats` when given.
     match_flow is looked up at each call, so it can be wrapped."""
+    winners = Counter() if stats is None else stats.winners
+    labels = {None: LabeledFlow(None, CLASS_NORMAL)[1:]}   # winner -> its label cells
+    new = tuple.__new__
     for flow in flows:
         winner = match_flow(index, flow.key)
-        if winner is None:
-            l_value, labeled = 0, LabeledFlow(flow, CLASS_NORMAL)
-        else:
-            l_value = specificity(winner)[0]
-            # taxonomy, heuristic, distance, nb_detectors, mawilab_label
-            labeled = LabeledFlow(flow, _CLASS_OF_L[l_value], *winner[4:9])
-        if stats is not None:
-            stats.add(labeled, l_value)
-        yield labeled
+        winners[winner] += 1
+        label = labels.get(winner)
+        if label is None:
+            # class, then taxonomy, heuristic, distance, nb_detectors, mawilab_label
+            label = labels[winner] = (_CLASS_OF_L[specificity(winner)[0]], *winner[4:9])
+        yield new(LabeledFlow, (flow, *label))

@@ -9,6 +9,7 @@ without calling the library's specificity helpers.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,12 +307,16 @@ def test_label_flows_pulls_one_flow_per_row():
         out.append(labeled)
     assert out == [label_one(f, index) for f in flows]
 
-    expected = LabelStats()
-    for labeled in out:
-        w = match_flow(index, labeled.flow.key)
-        expected.add(labeled, sum(x is not None for x in (w.sip, w.dip, w.sport, w.dport))
-                     if w else 0)
-    assert stats == expected
+    # counted per winner, derived per row alike
+    winners = [match_flow(index, labeled.flow.key) for labeled in out]
+    assert stats.winners == Counter(winners)
+    assert stats.rows == len(out)
+    assert stats.class_counts == Counter(labeled.class_label for labeled in out)
+    assert stats.taxonomy_counts == Counter(
+        labeled.taxonomy for labeled, w in zip(out, winners) if w is not None)
+    assert stats.l_histogram == Counter(
+        sum(x is not None for x in (w.sip, w.dip, w.sport, w.dport)) if w else 0
+        for w in winners)
 
 
 def _optional(values):
