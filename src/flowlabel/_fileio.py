@@ -25,7 +25,7 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import InputFormatError
+from .errors import AllNullTupleError, InputFormatError, MalformedRowError
 
 # Text bytes gathered before a chunk goes to the compressing thread.
 _GZIP_CHUNK = 256 * 1024
@@ -82,10 +82,13 @@ def open_binary_read(path):
 def open_text_read(path):
     """Text stream of the file, gunzipped if need be; a context manager.
     Bytes that are not UTF-8, and text that a csv reader of the stream
-    refuses, raise InputFormatError naming the file."""
+    refuses, raise InputFormatError naming the file; a row error raised in
+    the block gets the file's name put before its message."""
     with io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="") as fh:
         try:
             yield fh
+        except (MalformedRowError, AllNullTupleError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputFormatError(
                 f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "

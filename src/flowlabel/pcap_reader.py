@@ -111,7 +111,7 @@ class CaptureReader:
     def __init__(self, path):
         self._fh = open_binary_read(path)
         try:
-            head = self._read_header(24)
+            head = self._read_header(path, 24)
             magic = _MAGICS.get(head[:4])
             if magic is None:
                 raise NotPcapError(f"{path}: bad magic {head[:4].hex()}, not a pcap file")
@@ -136,13 +136,14 @@ class CaptureReader:
     def decoded(self) -> int:
         return self.records_read - self.skipped
 
-    def _read_header(self, n):
+    def _read_header(self, path, n):
         try:
             data = self._fh.read(n)
         except (gzip.BadGzipFile, EOFError) as exc:
-            raise NotPcapError(f"unreadable gzip stream: {exc}") from exc
+            raise NotPcapError(f"{path}: unreadable gzip stream: {exc}") from exc
         if len(data) < n:
-            raise NotPcapError(f"file too short for a pcap global header ({len(data)} bytes)")
+            raise NotPcapError(
+                f"{path}: file too short for a pcap global header ({len(data)} bytes)")
         return data
 
     def close(self):

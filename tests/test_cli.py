@@ -713,7 +713,7 @@ def test_overflowing_time_cell_is_format_error(tmp_path, capsys, command, cell):
     else:
         argv = ["split", "-i", str(src), "-o", str(out), "-n", "30"]
     assert run(*argv, "--quiet") == 2
-    assert capsys.readouterr().err == f"flowlabel: row {len(rows)}: bad time value {cell!r}\n"
+    assert capsys.readouterr().err == f"flowlabel: {src}: row {len(rows)}: bad time value {cell!r}\n"
     assert list(out.iterdir()) == []
 
 

@@ -383,7 +383,7 @@ def test_bad_cells_report_the_first(tmp_path, bad, message):
         csv.writer(fh, lineterminator="\n").writerows(rows)
     with pytest.raises(MalformedRowError) as err:
         list(read_traffic(path))
-    assert str(err.value) == message
+    assert str(err.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("cell", OVERFLOWING_TIMES)
@@ -408,7 +408,7 @@ def test_overflowing_time_is_malformed_row(tmp_path, how, cell):
         else:   # with min_stime, row 2 is written before row 3 fails
             split_by_window(path, 5.0, outdir,
                             min_stime=flows[0].stime_ms if how == "split-min-stime" else None)
-    assert str(err.value) == f"row 3: bad time value {cell!r}"
+    assert str(err.value) == f"{path}: row 3: bad time value {cell!r}"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 

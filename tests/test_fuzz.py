@@ -4,9 +4,10 @@ Valid pcap, log, flow and labeled CSV files are broken the ways real
 files break: cut short, a record length or the magic overwritten, a cell
 replaced, non-UTF-8 bytes spliced in, the whole file gzipped and the
 stream damaged.  Each is run through cli.main in-process with --quiet.
-Every run must end with exit 0, or with exit 2 and one stderr line and no
-traceback; a failed run must leave no output file, and no run may leave a
-staging entry.
+Every run must end with exit 0, or with exit 2 and one stderr line that
+names the damaged file and holds no traceback; a failed run must leave no
+output file, and no run may leave a staging entry.  A `damaged gzip
+input:` line is the one kind that does not name its file yet.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def _run_damaged(tmp_path, capsys, valid, name, damaged, argv):
     if code == 2:
         assert err.startswith("flowlabel: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        if not err.startswith("flowlabel: damaged gzip input: "):
+            assert f"{path}: " in err, err
         assert list((root / "out").iterdir()) == []
     else:
         assert err == ""

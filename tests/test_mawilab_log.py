@@ -372,7 +372,14 @@ def _reference_port(cell, row_num, col):
 
 def reference_parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     """parse_log as a plain loop: every cell looked up by column name,
-    stripped, and tested and parsed on its own."""
+    stripped, and tested and parsed on its own; a row error names the file."""
+    try:
+        return _reference_rows(path, accepted_labels, counters)
+    except (MalformedRowError, AllNullTupleError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _reference_rows(path, accepted_labels, counters):
     accepted = {lbl.strip().lower() for lbl in accepted_labels}
     entries = []
     skipped = 0

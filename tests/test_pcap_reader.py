@@ -48,6 +48,21 @@ def test_truncated_global_header_not_pcap(tmp_path):
         open_capture(path)
 
 
+def test_short_global_header_names_the_file(tmp_path):
+    path = write(tmp_path, pc.pcap([])[:17])
+    with pytest.raises(NotPcapError) as err:
+        open_capture(path)
+    assert str(err.value) == f"{path}: file too short for a pcap global header (17 bytes)"
+
+
+def test_unreadable_gzip_header_names_the_file(tmp_path):
+    # a gzip magic with a bad compression method byte after it
+    path = write(tmp_path, b"\x1f\x8b\x07" + bytes(40), "bad.pcap.gz")
+    with pytest.raises(NotPcapError) as err:
+        open_capture(path)
+    assert str(err.value).startswith(f"{path}: unreadable gzip stream: ")
+
+
 def test_nanosecond_magic_timestamp(tmp_path):
     # 2018-07-01 14:00:00 UTC plus 123456789 ns = ...123 in milliseconds
     path = write(tmp_path, pc.pcap([(1530453600, 123456789, tcp_frame())], nanos=True))

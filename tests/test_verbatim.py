@@ -199,7 +199,7 @@ def test_row_after_multiline_cell_is_numbered_by_record(tmp_path, index):
     for verbatim in (True, False):
         with pytest.raises(InputFormatError) as err:
             _label(path, tmp_path / "out.csv", index, MILLISECONDS, verbatim)
-        assert str(err.value) == "row 3: bad integer in sPort: 'x'"
+        assert str(err.value) == f"{path}: row 3: bad integer in sPort: 'x'"
 
 
 @pytest.mark.parametrize("column", [2, 5, 8, 17])
