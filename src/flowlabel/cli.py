@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import time
 import zlib
 
 from . import __version__
@@ -92,14 +93,17 @@ def _resolve_out(output, input_path, suffix: str) -> str:
 
 def _progress(flows, reader):
     """`flows`, printing a line at each multiple of PROGRESS_EVERY packets
-    the reader has decoded.  The count is read as each flow comes out, so a
-    line lags while no flow is emitted; the last line is not lost, since
-    the flow holding the latest timestamp comes out only after the last
-    packet is read."""
+    the reader has decoded, with the mean rate since the first flow was
+    asked for.  The count is read as each flow comes out, so a line lags
+    while no flow is emitted; the last line is not lost, since the flow
+    holding the latest timestamp comes out only after the last packet is
+    read."""
     mark = PROGRESS_EVERY
+    start = time.perf_counter()
     for flow in flows:
         while reader.decoded >= mark:
-            print(f"flowlabel: {mark:,} packets read", file=sys.stderr)
+            rate = mark / max(time.perf_counter() - start, 1e-9)
+            print(f"flowlabel: {mark:,} packets read ({rate:,.0f} packets/s)", file=sys.stderr)
             mark += PROGRESS_EVERY
         yield flow
 

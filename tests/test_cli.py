@@ -525,7 +525,10 @@ def test_progress_lines(tmp_path, capsys, monkeypatch, command, flags, every):
     assert run(*argv) == 0
     lines = [line for line in capsys.readouterr().err.splitlines() if "packets read" in line]
     marks = [] if "--quiet" in flags else range(every, 20 + 1, every)
-    assert lines == [f"flowlabel: {m:,} packets read" for m in marks]
+    assert [line.split(" (")[0] for line in lines] == [
+        f"flowlabel: {m:,} packets read" for m in marks]
+    for line in lines:
+        assert re.fullmatch(r"flowlabel: [\d,]+ packets read \([1-9][\d,]* packets/s\)", line)
 
 
 def test_extract_stats_peak_live_flows(tmp_path):
