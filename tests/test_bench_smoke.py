@@ -92,3 +92,33 @@ def test_traced_cli_log_layers(tmp_path):
     assert layers["counts"]["labeler.masks_nonempty"] == len(masks) > 1
     assert layers["seconds"]["mawilab_log.parse_s"] > 0
     assert layers["seconds"]["labeler.index_build_s"] > 0
+
+
+def test_traced_cli_label_layers(tmp_path):
+    # label's read, matching and labeled write are timed as their own
+    # layers, and every flow read is matched once
+    trace = tmp_path / "trace.pcap"
+    trace.write_bytes(pc.random_trace(random.Random(5), 2000)[0])
+    log = tmp_path / "log.csv"
+    log.write_text("sip,sport,dip,dport,taxonomy,heuristic,distance,nbDetectors,label\n"
+                   ",443,,,ntscACK,1,0.5,1,suspicious\n")
+    flows = tmp_path / "flows.csv"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowlabel", "extract", "-i", str(trace), "-o", str(flows),
+         "--quiet"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = tmp_path / "labeled.csv"
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(report),
+         "label", "-i", str(flows), "-c", str(log), "-o", str(out), "--sec", "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    layers = json.loads(report.read_text())
+    assert layers["exit"] == 0
+    for layer in ("flow_io.traffic_read_s", "labeler.match_s", "flow_io.label_write_s"):
+        assert layers["seconds"][layer] > 0, layer
+    with out.open() as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows > 0 and layers["counts"]["labeler.match_calls"] == rows
