@@ -334,10 +334,15 @@ def _read_csv(path, columns, parse, parse_line=None):
             yield parse(row, row_num)
 
 
+# Rendered label suffixes kept at once; past that the cache starts afresh,
+# which bounds its memory when a log has many rules that win
+_SUFFIXES_MAX = 256
+
+
 def _labeled_rows(flows, time):
     """The rows of LabeledFlows: the cells of a flow, or the text of a
     _TrafficLine with its times rendered by `time` and its label rendered
-    once per distinct label."""
+    once while it stays in the suffix cache."""
     suffixes = {}
     for lf in flows:
         flow = lf.flow
@@ -347,6 +352,8 @@ def _labeled_rows(flows, time):
         label = lf[1:]
         suffix = suffixes.get(label)
         if suffix is None:
+            if len(suffixes) >= _SUFFIXES_MAX:
+                suffixes.clear()
             suffix = suffixes[label] = _csv_text(_label_fields(lf))
         stime, etime = flow.stime_ms, flow.etime_ms
         yield (f"{flow.head},{time(stime)},{time(etime - stime)},{time(etime)},"

@@ -196,13 +196,13 @@ def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None):
     yielded, in input order; counts each winner into `stats` when given.
     match_flow is looked up at each call, so it can be wrapped."""
     winners = Counter() if stats is None else stats.winners
-    labels = {None: LabeledFlow(None, CLASS_NORMAL)[1:]}   # winner -> its label cells
     new = tuple.__new__
     for flow in flows:
         winner = match_flow(index, flow.key)
         winners[winner] += 1
-        label = labels.get(winner)
-        if label is None:
-            # class, then taxonomy, heuristic, distance, nb_detectors, mawilab_label
-            label = labels[winner] = (_CLASS_OF_L[specificity(winner)[0]], *winner[4:9])
-        yield new(LabeledFlow, (flow, *label))
+        if winner is None:
+            yield LabeledFlow(flow, CLASS_NORMAL)
+        else:
+            # L counts the winner's non-null attributes; then taxonomy,
+            # heuristic, distance, nb_detectors and mawilab_label
+            yield new(LabeledFlow, (flow, _CLASS_OF_L[4 - winner[:4].count(None)], *winner[4:9]))

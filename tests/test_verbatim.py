@@ -139,8 +139,10 @@ def index(tmp_path_factory):
 
 def _label(path, out, index, unit, verbatim):
     stats = LabelStats()
-    rows = write_flows(label_flows(read_traffic(path, verbatim=verbatim), index, stats),
-                       out, unit)
+    # a cache of two label suffixes starts afresh within these small files
+    with mock.patch.object(flow_io, "_SUFFIXES_MAX", 2):
+        rows = write_flows(label_flows(read_traffic(path, verbatim=verbatim), index, stats),
+                           out, unit)
     return rows, out.read_bytes(), stats.winners
 
 
