@@ -201,8 +201,8 @@ _TEXT = r'[^,"\r\n\x00]*'         # a cell csv reads and writes unchanged
 # A traffic line that csv would read as its text split on commas and whose
 # cells 0-7 and 11-22 would be rendered back as they stand: canonical
 # integers and flag strings, times in milliseconds, free text with no `,`,
-# `"`, CR, LF or NUL (csv refuses NUL before Python 3.11).  Groups: cells 0-7
-# as one text, sIP, dIP, sPort, dPort, proto, sTime, eTime, cells 11-22.
+# `"`, CR, LF or NUL (csv refuses NUL before Python 3.11).  Groups: cells
+# 0-7 as one text, sIP, dIP, sPort, dPort, proto, sTime, eTime, cells 11-22.
 _VERBATIM_TRAFFIC = re.compile(
     f"(({_TEXT}),({_TEXT}),({_INT}),({_INT}),({_INT}),{_INT},{_INT},{_FLAGS}),"
     f"({_INT}),{_TEXT},({_INT}),"   # durat is derived, not read back
