@@ -8,8 +8,8 @@ flag sets render as SiLK-style letter strings (subset of "FSRPAUEC").
 A line already in the form the writer gives (see _VERBATIM_TRAFFIC and
 _window_line) is copied rather than parsed and rendered again: label
 keeps cells 0-7 and 11-22 of such a traffic line, split the whole line.
-Any other line goes through csv, so the output bytes are the same either
-way.
+From the first line in any other form on, the rest of the file goes
+through csv, so the output bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import io
 import os
 import re
 from collections import OrderedDict
+from itertools import chain
+from math import copysign
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -251,26 +253,6 @@ def _csv_text(cells) -> str:
     return buf.getvalue()
 
 
-class _Lines:
-    """The lines of a text file, a line put `back` coming first: a
-    csv.reader over it reads the record that starts with that line and
-    takes any continuation lines of a quoted cell from the file."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.back = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        line = self.back
-        if line is None:
-            return next(self.fh)
-        self.back = None
-        return line
-
-
 # ---------------------------------------------------------------------------
 # whole-file operations
 
@@ -297,15 +279,13 @@ def _read_csv(path, columns, parse, parse_line=None):
 
     With `parse_line`, each line is first offered whole to
     parse_line(line, row_num), and a value other than None stands for its
-    record.  Every other line goes, with any continuation lines of a
-    quoted cell, through one csv.reader fed from the same line iterator,
-    so records are numbered alike and fail alike either way.  A line over
-    the csv field limit always goes through csv, which judges it.  The
-    parsing runs in the open_text_read block, so its row errors name the
-    file."""
+    record.  The first line it refuses, or that is over the csv field
+    limit, and all the lines after it go through csv, as every line does
+    without `parse_line`: a file not in the writer's form pays one refused
+    line, and records are numbered and fail alike either way.  The parsing
+    runs in the open_text_read block, so its row errors name the file."""
     with open_text_read(path) as fh:
-        lines = _Lines(fh)
-        reader = csv.reader(lines)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaMismatchError(f"{path}: empty file, expected a header row")
@@ -315,16 +295,19 @@ def _read_csv(path, columns, parse, parse_line=None):
                 f"{len(columns)}-column schema starting {columns[0]},{columns[1]},..."
             )
         width = len(columns)
-        # with no parse_line, no line is short enough to skip csv
-        limit = csv.field_size_limit() if parse_line is not None else -1
-        for row_num, line in enumerate(fh, start=2):
-            if len(line) <= limit:
-                value = parse_line(line, row_num)
-                if value is not None:
-                    yield value
-                    continue
-            lines.back = line
-            row = next(reader)
+        row_num = 2   # of the next record
+        if parse_line is not None:
+            limit = csv.field_size_limit()
+            for row_num, line in enumerate(fh, start=2):
+                value = parse_line(line, row_num) if len(line) <= limit else None
+                if value is None:
+                    # a new reader starts at a record boundary, as this line does
+                    reader = csv.reader(chain((line,), fh))
+                    break
+                yield value
+            else:
+                return
+        for row_num, row in enumerate(reader, start=row_num):
             if not row:
                 continue
             if len(row) != width:
@@ -342,14 +325,15 @@ _SUFFIXES_MAX = 256
 def _labeled_rows(flows, time):
     """The rows of LabeledFlows: the cells of a flow, or the text of a
     _TrafficLine with its times rendered by `time` and its label rendered
-    once while it stays in the suffix cache."""
+    once while it stays in the suffix cache.  A cache key holds the sign
+    of the distance, as -0.0 == 0.0 but the two render apart."""
     suffixes = {}
     for lf in flows:
         flow = lf.flow
         if type(flow) is not _TrafficLine:
             yield _traffic_fields(flow, time) + _label_fields(lf)
             continue
-        label = lf[1:]
+        label = (lf[1:], copysign(1.0, lf.distance))
         suffix = suffixes.get(label)
         if suffix is None:
             if len(suffixes) >= _SUFFIXES_MAX:

@@ -2,7 +2,8 @@
 
 A traffic line whose kept cells the writer would render as they stand is
 labeled from its text, and a labeled line that csv would read and write
-unchanged is split as its text; every other line goes through csv.  Each
+unchanged is split as its text; from the first line in another form on,
+every line goes through csv.  Each
 test runs the same input both ways and wants the same bytes, or the same
 error, out.
 """
@@ -28,10 +29,14 @@ LOG_TEXT = (
     ",443,,,ntscACK,1,2.25,1,suspicious\n"
     "10.0.0.3,,,,dos,2,nan,2,anomalous\n"
     ",,::1,,ptmp HTTP,51,1e-3,4,suspicious\n"
+    # labels alike but for a distance of 0 and -0, which compare equal
+    ",,10.0.0.5,,dos,2,0,2,anomalous\n"
+    ",,10.0.0.6,,dos,2,-0,2,anomalous\n"
 )
 LIMIT = csv.field_size_limit()
 
-_IPS = st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "::1", "10.0.0.9"])
+_IPS = st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "::1", "10.0.0.5", "10.0.0.6",
+                        "10.0.0.9"])
 _PORTS = st.sampled_from([0, 53, 80, 443, 1234, -7])
 _INTS = st.integers(-10**15, 10**15)
 _FLAG_TEXTS = st.integers(0, 255).map(flow_io.flags_to_string)
@@ -179,23 +184,43 @@ def test_verbatim_split_equals_csv_split(tmp_path, text, window):
     assert verbatim == parsed
 
 
-def test_only_writer_style_lines_are_kept_as_text(tmp_path):
+CANONICAL = "10.0.0.1,10.0.0.2,1234,80,6,3,180,SA,100,9,600,0,0,0,0,,,,,S,A,,\n"
+
+
+@pytest.mark.parametrize("line", [
+    CANONICAL.replace(",80,", ",+80,"),        # rendered as 80
+    CANONICAL.replace(",100,", ",0.1,"),       # a time in seconds
+    CANONICAL.replace("\n", "\r\n"),           # ends in CRLF
+    CANONICAL.replace(",SA,", ",AS,"),         # flags reordered
+    CANONICAL.replace(",S,A,", ',"S",A,'),     # a quoted cell
+    "\n",                                      # a blank line
+])
+def test_only_writer_style_lines_are_kept_as_text(tmp_path, line):
+    # from the first line in another form on, every line goes through csv
     path = tmp_path / "flows.csv"
-    canonical = "10.0.0.1,10.0.0.2,1234,80,6,3,180,SA,100,9,600,0,0,0,0,,,,,S,A,,\n"
-    _write(path, ",".join(TRAFFIC_COLUMNS) + "\n" + canonical
-           + canonical.replace(",80,", ",+80,")          # rendered as 80
-           + canonical.replace(",100,", ",0.1,")         # a time in seconds
-           + canonical.replace("\n", "\r\n")             # ends in CRLF
-           + canonical.replace(",SA,", ",AS,")           # flags reordered
-           + canonical.rstrip("\n"))                     # no line end
+    _write(path, ",".join(TRAFFIC_COLUMNS) + "\n" + CANONICAL + line + CANONICAL
+           + CANONICAL.rstrip("\n"))
     kinds = [type(flow) for flow in read_traffic(path, verbatim=True)]
-    assert kinds == [flow_io._TrafficLine] + [FlowRecord] * 5
+    assert kinds == [flow_io._TrafficLine] + [FlowRecord] * (len(kinds) - 1)
+    assert len(kinds) == (3 if line == "\n" else 4)
+
+
+def test_distance_sign_is_kept(tmp_path, index):
+    # the rules of 10.0.0.5 and 10.0.0.6 differ only in a distance of 0 and -0
+    path = tmp_path / "flows.csv"
+    _write(path, ",".join(TRAFFIC_COLUMNS) + "\n"
+           + CANONICAL.replace("10.0.0.2", "10.0.0.5") + CANONICAL.replace("10.0.0.2", "10.0.0.6"))
+    verbatim = _label(path, tmp_path / "a.csv", index, MILLISECONDS, True)
+    assert verbatim == _label(path, tmp_path / "b.csv", index, MILLISECONDS, False)
+    rows = verbatim[1].split(b"\n")
+    assert rows[1].endswith(b",unsure,dos,anomalous,2,0.0,2")
+    assert rows[2].endswith(b",unsure,dos,anomalous,2,-0.0,2")
 
 
 def test_row_after_multiline_cell_is_numbered_by_record(tmp_path, index):
     # row 2 spans two lines, so the bad sPort of the fourth line is row 3
     path = tmp_path / "flows.csv"
-    good = "10.0.0.1,10.0.0.2,1234,80,6,3,180,SA,100,9,600,0,0,0,0,,,,,S,A,,\n"
+    good = CANONICAL
     _write(path, ",".join(TRAFFIC_COLUMNS) + "\n"
            + good.replace(",,\n", ',"a\nb",\n') + good.replace("1234", "x"))
     for verbatim in (True, False):
@@ -207,10 +232,27 @@ def test_row_after_multiline_cell_is_numbered_by_record(tmp_path, index):
 @pytest.mark.parametrize("column", [2, 5, 8, 17])
 def test_integer_past_the_int_digit_limit_fails_alike(tmp_path, index, column):
     # int() refuses a 5000-digit string, so such a row must reach the parser
-    cells = "10.0.0.1,10.0.0.2,1234,80,6,3,180,SA,100,9,600,0,0,0,0,,,,,S,A,,".split(",")
+    cells = CANONICAL.rstrip("\n").split(",")
     cells[column] = "9" * 5000
     path = tmp_path / "flows.csv"
     _write(path, ",".join(TRAFFIC_COLUMNS) + "\n" + ",".join(cells) + "\n")
     verbatim = _outcome(lambda: _label(path, tmp_path / "a.csv", index, MILLISECONDS, True))
     parsed = _outcome(lambda: _label(path, tmp_path / "b.csv", index, MILLISECONDS, False))
     assert verbatim == parsed and verbatim[0] is MalformedRowError
+
+
+def test_cell_past_the_csv_field_limit_fails_alike(tmp_path, index):
+    # csv refuses such a cell, so its line must not be kept as text
+    cells = CANONICAL.rstrip("\n").split(",")
+    cells[11] = "x" * (LIMIT + 1)
+    path = tmp_path / "flows.csv"
+    _write(path, ",".join(TRAFFIC_COLUMNS) + "\n" + ",".join(cells) + "\n")
+    verbatim = _outcome(lambda: _label(path, tmp_path / "a.csv", index, MILLISECONDS, True))
+    parsed = _outcome(lambda: _label(path, tmp_path / "b.csv", index, MILLISECONDS, False))
+    assert verbatim == parsed and verbatim[0] is InputFormatError
+    labeled = tmp_path / "labeled.csv"
+    _write(labeled, ",".join(OUTPUT_COLUMNS) + "\n" + ",".join(cells)
+           + ",normal,,normal,0,0,0\n")
+    verbatim = _outcome(lambda: _split(labeled, tmp_path / "c", 1.0, True))
+    parsed = _outcome(lambda: _split(labeled, tmp_path / "d", 1.0, False))
+    assert verbatim == parsed and verbatim[0] is InputFormatError
