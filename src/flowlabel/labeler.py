@@ -31,14 +31,19 @@ CLASS_ANOMALY = "anomaly"
 CLASS_UNSURE = "unsure"
 
 
+def attribute_count(entry: IdsLogEntry) -> int:
+    """L for an entry: how many of its four-tuple attributes are non-null."""
+    return 4 - entry[:4].count(None)
+
+
 def specificity(entry: IdsLogEntry) -> tuple[int, int]:
-    """(L, weight) for an entry: L counts non-null four-tuple attributes;
-    weight is the presence bit pattern ordered dip, sip, dport, sport so
-    that plain integer comparison ranks dip > sip > dport > sport."""
+    """(L, weight) for an entry: L from attribute_count; weight is the
+    presence bit pattern ordered dip, sip, dport, sport so that plain
+    integer comparison ranks dip > sip > dport > sport."""
     sip, dip, sport, dport = entry[:4]
     bits = ((dip is not None) << 3 | (sip is not None) << 2
             | (dport is not None) << 1 | (sport is not None))
-    return bits.bit_count(), bits
+    return attribute_count(entry), bits
 
 
 def precedence_key(entry: IdsLogEntry) -> tuple[int, int, int]:
@@ -89,7 +94,7 @@ class LabelStats:
     def l_histogram(self) -> Counter:   # winner L; 0 = no match
         counts = Counter()
         for winner, n in self.winners.items():
-            counts[0 if winner is None else specificity(winner)[0]] += n
+            counts[0 if winner is None else attribute_count(winner)] += n
         return counts
 
     @property
@@ -184,7 +189,7 @@ def match_flow(index: MatchIndex, key: FlowKey):
 
 
 def assign_class(winner) -> str:
-    return _CLASS_OF_L[0 if winner is None else specificity(winner)[0]]
+    return _CLASS_OF_L[0 if winner is None else attribute_count(winner)]
 
 
 def label_one(flow: FlowRecord, index: MatchIndex) -> LabeledFlow:
@@ -203,6 +208,6 @@ def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None):
         if winner is None:
             yield LabeledFlow(flow, CLASS_NORMAL)
         else:
-            # L counts the winner's non-null attributes; then taxonomy,
-            # heuristic, distance, nb_detectors and mawilab_label
-            yield new(LabeledFlow, (flow, _CLASS_OF_L[4 - winner[:4].count(None)], *winner[4:9]))
+            # the class, then taxonomy, heuristic, distance, nb_detectors
+            # and mawilab_label
+            yield new(LabeledFlow, (flow, assign_class(winner), *winner[4:9]))
