@@ -22,6 +22,7 @@ import shutil
 import stat
 import tempfile
 import threading
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -81,9 +82,10 @@ def open_binary_read(path):
 @contextmanager
 def open_text_read(path):
     """Text stream of the file, gunzipped if need be; a context manager.
-    Bytes that are not UTF-8, and text that a csv reader of the stream
-    refuses, raise InputFormatError naming the file; a row error raised in
-    the block gets the file's name put before its message."""
+    A damaged gzip stream, bytes that are not UTF-8, and text that a csv
+    reader of the stream refuses raise InputFormatError naming the file; a
+    row error raised in the block gets the file's name put before its
+    message."""
     with io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="") as fh:
         try:
             yield fh
@@ -95,6 +97,8 @@ def open_text_read(path):
                 f"({exc.reason})") from None
         except csv.Error as exc:
             raise InputFormatError(f"{path}: bad CSV: {exc}") from None
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise InputFormatError(f"{path}: damaged gzip input: {exc}") from exc
 
 
 class _GzipOnThread(io.RawIOBase):

@@ -4,8 +4,9 @@ extract, label and pipeline compose one generator chain pulled by the
 writer: capture -> build_flows -> label_flows -> write_flows, with the
 log indexed first (extract writes flows unlabeled; label reads them).
 
-Exit codes: 0 success, 1 usage error, 2 input format error (damaged gzip
-input included), 3 I/O error.  A failed run leaves no output file.
+Exit codes: 0 success, 1 usage error, 2 input format error, 3 I/O error.
+Each format error names its file, a damaged gzip stream included ("PATH:
+damaged gzip input: ...").  A failed run leaves no output file.
 Flag spellings follow the original tools (-i input, -c classifier, -o
 output, -n window seconds, --sec for seconds rendering).
 """
@@ -13,13 +14,11 @@ output, -n window seconds, --sec for seconds rendering).
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import math
 import os
 import sys
 import time
-import zlib
 
 from . import __version__
 from ._fileio import file_stem, open_text_write, staged_path, written_in_place
@@ -369,9 +368,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InputFormatError as exc:
         print(f"flowlabel: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        print(f"flowlabel: damaged gzip input: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:
         print(f"flowlabel: I/O error: {exc}", file=sys.stderr)

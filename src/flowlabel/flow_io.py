@@ -5,26 +5,28 @@ Times are stored internally in milliseconds; files render them either as
 integer milliseconds (default) or as seconds with three decimals.  TCP
 flag sets render as SiLK-style letter strings (subset of "FSRPAUEC").
 
-A line already in the form the writer gives (see _VERBATIM_TRAFFIC and
-_window_line) is copied rather than parsed and rendered again: label
-keeps cells 0-7 and 11-22 of such a traffic line, split the whole line.
-From the first line in any other form on, the rest of the file goes
-through csv, so the output bytes are the same either way.
+Every row is written as one text line.  Cells are rendered to that line
+by _line, the one csv.writer here.  A line already in the form the writer
+gives (see _VERBATIM_TRAFFIC and _window_line) is copied rather than
+parsed and rendered again: label keeps cells 0-7 and 11-22 of such a
+traffic line, split the whole line.  From the first line in any other
+form on, the rest of the file goes through csv, so the output bytes are
+the same either way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import os
 import re
+import types
 from collections import OrderedDict
 from itertools import chain
-from math import copysign
+from math import copysign, isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from ._fileio import file_stem, open_text_read, open_text_write, staging_dir
 from .errors import MalformedRowError, SchemaMismatchError
@@ -54,6 +56,11 @@ _FLAG_LETTERS = (
 _LETTER_BITS = {letter: bit for bit, letter in _FLAG_LETTERS}
 
 _CLASSES = (CLASS_NORMAL, CLASS_ANOMALY, CLASS_UNSURE)
+
+# _line(cells) is the csv line of `cells`: writerow returns what its file's
+# write returns.  Cells of str, int, float or None render without running
+# Python code, so no other thread can write into the shared writer mid-row.
+_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 # the letter string of every 8-bit flag set, indexed by the bits
@@ -119,7 +126,7 @@ def _int(cell: str, row_num: int, col: str) -> int:
 
 def _traffic_fields(flow: FlowRecord, time) -> tuple:
     """The 23 traffic cells of `flow`, its times rendered by `time`.  The
-    cells are values: csv.writer writes ints as str() does, None as ""."""
+    cells are values, which _line renders: ints as str() does, None as ""."""
     return (*flow.key, flow.packets, flow.bytes, _FLAG_STRINGS[flow.flags],
             time(flow.stime_ms), time(flow.duration_ms), time(flow.etime_ms),
             flow.sensor, flow.input_if, flow.output_if, flow.next_hop,
@@ -243,32 +250,21 @@ def _window_line(line: str, row_num: int):
 
 
 def _window_row(row: list[str], row_num: int):
-    return _parse_time(row[_STIME_COL], row_num), row
-
-
-def _csv_text(cells) -> str:
-    """`cells` as one csv.writer row, line end included."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()
+    return _parse_time(row[_STIME_COL], row_num), _line(row)
 
 
 # ---------------------------------------------------------------------------
 # whole-file operations
 
-def _write_csv(rows, path, columns) -> int:
-    """Write `columns` and then `rows`: a str is written as it stands, any
-    other row through csv.writer."""
+def _write_csv(lines, path, columns) -> int:
+    """Write the header `columns` and then `lines`, each one rendered row;
+    returns the number of lines."""
     count = 0
     with open_text_write(path) as fh:
         write = fh.write
-        writerow = csv.writer(fh, lineterminator="\n").writerow
-        writerow(columns)
-        for row in rows:
-            if type(row) is str:
-                write(row)
-            else:
-                writerow(row)
+        write(_line(columns))
+        for line in lines:
+            write(line)
             count += 1
     return count
 
@@ -323,22 +319,23 @@ _SUFFIXES_MAX = 256
 
 
 def _labeled_rows(flows, time):
-    """The rows of LabeledFlows: the cells of a flow, or the text of a
-    _TrafficLine with its times rendered by `time` and its label rendered
-    once while it stays in the suffix cache.  A cache key holds the sign
-    of the distance, as -0.0 == 0.0 but the two render apart."""
+    """The lines of LabeledFlows: the cells of a flow rendered by _line,
+    or the text of a _TrafficLine with its times rendered by `time` and
+    its label rendered once while it stays in the suffix cache.  A cache
+    key holds the sign of the distance, as -0.0 == 0.0 but the two render
+    apart."""
     suffixes = {}
     for lf in flows:
         flow = lf.flow
         if type(flow) is not _TrafficLine:
-            yield _traffic_fields(flow, time) + _label_fields(lf)
+            yield _line(_traffic_fields(flow, time) + _label_fields(lf))
             continue
         label = (lf[1:], copysign(1.0, lf.distance))
         suffix = suffixes.get(label)
         if suffix is None:
             if len(suffixes) >= _SUFFIXES_MAX:
                 suffixes.clear()
-            suffix = suffixes[label] = _csv_text(_label_fields(lf))
+            suffix = suffixes[label] = _line(_label_fields(lf))
         stime, etime = flow.stime_ms, flow.etime_ms
         yield (f"{flow.head},{time(stime)},{time(etime - stime)},{time(etime)},"
                f"{flow.tail},{suffix}")
@@ -358,7 +355,7 @@ def write_traffic(flows, path, time_unit: str = MILLISECONDS) -> int:
     """Write unlabeled FlowRecords as the 23 traffic columns."""
     time = _time_renderer(time_unit)
     return _write_csv(
-        (_traffic_fields(flow, time) for flow in flows),
+        (_line(_traffic_fields(flow, time)) for flow in flows),
         path, TRAFFIC_COLUMNS,
     )
 
@@ -379,7 +376,7 @@ _MAX_OPEN_WINDOWS = 64
 
 
 class _WindowWriters:
-    """CSV writers per window, at most _MAX_OPEN_WINDOWS open at once so
+    """Files per window, at most _MAX_OPEN_WINDOWS open at once so
     huge window counts cannot exhaust file descriptors.  Each window file
     is written under its own name in a staging directory; finish() moves
     them all out once the last row is in."""
@@ -388,28 +385,23 @@ class _WindowWriters:
         self.staging = staging
         self.stem = stem
         self.windows: set[int] = set()
-        self.open: OrderedDict[int, tuple] = OrderedDict()
+        self.open: OrderedDict[int, TextIO] = OrderedDict()
 
-    def row(self, window: int, fields):
-        """Write `fields` (a line's text, or cells) to `window`."""
-        entry = self.open.get(window)
-        if entry is None:
+    def row(self, window: int, line: str):
+        """Write `line`, one rendered row, to `window`."""
+        fh = self.open.get(window)
+        if fh is None:
             first = window not in self.windows
-            fh = open(os.path.join(self.staging, self._name(window)), "w" if first else "a",
-                      encoding="utf-8", newline="")
-            entry = self.open[window] = (fh, csv.writer(fh, lineterminator="\n"))
+            fh = self.open[window] = open(os.path.join(self.staging, self._name(window)),
+                                          "w" if first else "a", encoding="utf-8", newline="")
             if first:
                 self.windows.add(window)
-                entry[1].writerow(OUTPUT_COLUMNS)
+                fh.write(_line(OUTPUT_COLUMNS))
             if len(self.open) > _MAX_OPEN_WINDOWS:
-                _, (old_fh, _w) = self.open.popitem(last=False)
-                old_fh.close()
+                self.open.popitem(last=False)[1].close()
         else:
             self.open.move_to_end(window)
-        if type(fields) is str:
-            entry[0].write(fields)
-        else:
-            entry[1].writerow(fields)
+        fh.write(line)
 
     def _name(self, window: int) -> str:
         return f"{self.stem}_w{window:04d}.csv"
@@ -418,7 +410,7 @@ class _WindowWriters:
         """Close the open files; `quiet` ignores their errors, which would
         hide the one that made the split fail."""
         while self.open:
-            _window, (fh, _writer) = self.open.popitem(last=False)
+            _window, fh = self.open.popitem(last=False)
             with contextlib.suppress(OSError if quiet else ()):
                 fh.close()
 
@@ -443,8 +435,11 @@ def split_by_window(input_path, window_s: float, outdir, *,
     window index; a header-only input creates nothing and returns an empty
     list.
     """
+    # both checks fail before the input is read
+    if not isfinite(window_s * 1000):   # nan, inf, or too long to count in ms
+        raise ValueError(f"window must be finite in milliseconds, got {window_s}")
     window_ms = round(window_s * 1000)
-    if window_ms <= 0:   # fails before the input is read
+    if window_ms <= 0:
         raise ValueError(f"window must be positive, got {window_s}")
     if min_stime is None:
         for stime, _row in _read_csv(input_path, OUTPUT_COLUMNS, _window_row, _window_line):

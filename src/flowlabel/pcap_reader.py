@@ -25,7 +25,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from ._fileio import open_binary_read
-from .errors import NotPcapError, TruncatedFileError, UnsupportedLinkTypeError
+from .errors import (InputFormatError, NotPcapError, TruncatedFileError,
+                     UnsupportedLinkTypeError)
 
 # TCP flag bits (RFC 793 + ECN), low bit first.
 TCP_FIN = 0x01
@@ -139,7 +140,7 @@ class CaptureReader:
     def _read_header(self, path, n):
         try:
             data = self._fh.read(n)
-        except (gzip.BadGzipFile, EOFError) as exc:
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise NotPcapError(f"{path}: unreadable gzip stream: {exc}") from exc
         if len(data) < n:
             raise NotPcapError(
@@ -189,18 +190,21 @@ class CaptureReader:
     def _short_read(self, offset, detail):
         """The error for a stream that ends inside the record at byte
         `offset`: a TruncatedFileError naming the record and saying
-        `detail`, or that the compressed stream ends early, or else a
-        held-back read error."""
+        `detail`, or that the compressed stream ends early, or an
+        InputFormatError naming the record for a damaged gzip stream, or
+        else the held-back read error (an OSError)."""
         exc = self._read_error
+        where = f"{self.path}: record {self.records_read + 1} at byte {offset}"
         if exc is None:
-            return TruncatedFileError(
-                f"{self.path}: record {self.records_read + 1} at byte {offset}: {detail}")
+            return TruncatedFileError(f"{where}: {detail}")
         if isinstance(exc, EOFError):
-            err = TruncatedFileError(f"{self.path}: record {self.records_read + 1} "
-                                     f"at byte {offset}: compressed stream ends early")
-            err.__cause__ = exc
-            return err
-        return exc
+            err = TruncatedFileError(f"{where}: compressed stream ends early")
+        elif isinstance(exc, (gzip.BadGzipFile, zlib.error)):
+            err = InputFormatError(f"{where}: damaged gzip input: {exc}")
+        else:
+            return exc
+        err.__cause__ = exc
+        return err
 
     def __iter__(self):
         # one generator per reader, so a second iter() resumes the stream

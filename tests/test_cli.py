@@ -459,6 +459,10 @@ def test_input_cut_mid_record_leaves_no_output(tmp_path, capsys, command):
 
 
 def _damage(data: bytes, how: str) -> bytes:
+    if how == "header-overwritten":
+        # the first deflate block, which holds the start of the file (a
+        # capture's global header), gets the reserved block type
+        return data[:10] + b"\xff" + data[11:]
     if how == "truncated":
         return data[:len(data) // 2]
     if how == "crc-flipped":
@@ -468,25 +472,35 @@ def _damage(data: bytes, how: str) -> bytes:
     return data[:mid] + b"\xff" * 600 + data[mid + 600:]
 
 
-@pytest.mark.parametrize("how", ["truncated", "crc-flipped", "deflate-overwritten"])
-@pytest.mark.parametrize("command", ["extract", "label"])
+@pytest.mark.parametrize("how", ["truncated", "crc-flipped", "deflate-overwritten",
+                                 "header-overwritten"])
+@pytest.mark.parametrize("command", ["extract", "label", "label-log"])
 def test_damaged_gzip_input_is_format_error(tmp_path, capsys, command, how):
+    # extract of a damaged capture, label of a damaged flow CSV, label
+    # with a damaged log
     pcap = _random_pcap(tmp_path)
     if command == "extract":
         damaged = tmp_path / "trace.pcap.gz"
         damaged.write_bytes(_damage(gzip.compress(pcap.read_bytes(), mtime=0), how))
         argv = ["extract", "-i", str(damaged)]
-    else:
+    elif command == "label":
         damaged = tmp_path / "flows.csv.gz"
         assert run("extract", "-i", str(pcap), "-o", str(damaged), "--quiet") == 0
         damaged.write_bytes(_damage(damaged.read_bytes(), how))
         argv = ["label", "-i", str(damaged), "-c", str(write_log(tmp_path, MIXED_RULE_ROWS))]
+    else:
+        flows = tmp_path / "flows.csv"
+        assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+        damaged = tmp_path / "log.csv.gz"
+        log = write_log(tmp_path, MIXED_RULE_ROWS * 50).read_bytes()
+        damaged.write_bytes(_damage(gzip.compress(log, mtime=0), how))
+        argv = ["label", "-i", str(flows), "-c", str(damaged)]
     out = tmp_path / "out"
     out.mkdir()
     assert run(*argv, "-o", str(out / "result.csv"), "--quiet") == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("flowlabel: ")
+    assert err.startswith(f"flowlabel: {damaged}: ") and err.count("\n") == 1, err
     assert list(out.iterdir()) == []
 
 

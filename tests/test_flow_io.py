@@ -552,8 +552,9 @@ def test_split_failure_removes_every_window_file(tmp_path, monkeypatch, fail_at)
 def test_split_rejects_bad_window(tmp_path):
     src = tmp_path / "x.csv"
     write_flows(stamped([0]), src)
-    with pytest.raises(ValueError):
-        split_by_window(src, 0, tmp_path / "win")
+    for window in (0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^window must be "):
+            split_by_window(src, window, tmp_path / "win")
 
 
 def test_split_gz_stem(tmp_path):

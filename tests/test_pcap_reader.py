@@ -552,10 +552,42 @@ def test_gzip_bad_ending_raises_after_every_record(tmp_path, damage):
         everything = list(reader)
     got = []
     with open_capture(path) as reader:
-        with pytest.raises(gzip.BadGzipFile):
+        with pytest.raises(InputFormatError) as info:
             for rec in reader:
                 got.append(rec)
+    assert str(info.value).startswith(f"{path}: record ")
+    assert type(info.value.__cause__) is gzip.BadGzipFile
     assert got == everything
+
+
+class _FailingStream:
+    """A stream whose reads past the first `good` chunks raise EIO."""
+
+    def __init__(self, fh, good):
+        self._fh = fh
+        self._good = good
+
+    def peek(self, n):
+        return self._fh.peek(n)
+
+    def read1(self, n):
+        if self._good == 0:
+            raise OSError(5, "Input/output error")
+        self._good -= 1
+        return self._fh.read1(n)
+
+    def close(self):
+        self._fh.close()
+
+
+def test_read_error_stays_an_os_error(tmp_path):
+    # a device error is I/O trouble, not a damaged input
+    data, _ = pc.random_trace(random.Random(11), 6000)
+    with open_capture(write(tmp_path, data)) as reader:
+        reader._fh = _FailingStream(reader._fh, 1)
+        with pytest.raises(OSError) as info:
+            list(reader)
+    assert type(info.value) is OSError and info.value.errno == 5
 
 
 def test_iteration_resumes_where_it_stopped(tmp_path):
@@ -622,9 +654,9 @@ def test_gzip_corruption_fails_after_the_same_records(tmp_path):
         prefix, error = record_by_record(path)
         assert error is not None
         if not prefix:   # the damage is inflated with the global header
-            unreadable = issubclass(error, (EOFError, gzip.BadGzipFile))
-            with pytest.raises(NotPcapError if unreadable else error):
+            with pytest.raises(NotPcapError) as info:
                 open_capture(path)
+            assert type(info.value.__cause__) is error
             continue
         with open_capture(write(tmp_path, prefix, f"prefix{i}.pcap")) as ref:
             want = list(ref)
@@ -634,5 +666,6 @@ def test_gzip_corruption_fails_after_the_same_records(tmp_path):
                 for rec in reader:
                     got.append(rec)
         assert got == want
-        expected = TruncatedFileError if error is EOFError else error
+        expected = TruncatedFileError if error is EOFError else InputFormatError
         assert type(info.value) is expected
+        assert type(info.value.__cause__) is error
