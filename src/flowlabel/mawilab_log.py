@@ -13,6 +13,10 @@ recognized as they stand, any other spelling after strip() and lower().
 Within one parse_log call, entries share their address strings: each
 distinct IP cell is parsed once, and every row that spells an address
 the same way gets the same str object.
+
+Each accepted row is checked in one pass, in the order sip, dip, sport,
+dport, the all-null test, heuristic, distance, nbDetectors, so the first
+fault a row holds is the one raised.
 """
 
 from __future__ import annotations
@@ -84,10 +88,14 @@ def _parse_ip(cell: str, row_num: int, col: str) -> str:
         raise MalformedRowError(f"row {row_num}: bad IP in {col}: {cell!r}") from exc
 
 
-def _parse_port(cell: str, row_num: int, col: str) -> int:
+def _port(cell: str, row_num: int, col: str) -> int | None:
+    """The port in a cell that is not a common null spelling, or None for
+    another spelling of null."""
     try:
         port = int(cell.strip())
     except ValueError as exc:
+        if _is_null(cell):
+            return None
         raise MalformedRowError(f"row {row_num}: bad port in {col}: {cell!r}") from exc
     if not 0 <= port <= 65535:
         raise MalformedRowError(f"row {row_num}: port out of range in {col}: {port}")
@@ -101,26 +109,6 @@ def _address(cell: str, row_num: int, col: str, known: dict) -> str | None:
         return None
     text = known[cell] = _parse_ip(cell, row_num, col)
     return text
-
-
-def _checked_fields(row_num, sip, dip, sport_cell, dport_cell, heuristic_cell,
-                    distance_cell, nb_detectors_cell):
-    """sport, dport, heuristic, distance and nb_detectors of a row whose
-    cells the plain int()/float() pass did not take, each checked in turn
-    so that the row's first fault is the one raised."""
-    sport = None if _is_null(sport_cell) else _parse_port(sport_cell, row_num, "sport")
-    dport = None if _is_null(dport_cell) else _parse_port(dport_cell, row_num, "dport")
-    if sip is None and dip is None and sport is None and dport is None:
-        raise AllNullTupleError(f"row {row_num}: all four flow attributes are null")
-    try:
-        heuristic = int(heuristic_cell.strip())
-        distance = float(distance_cell.strip())
-        nb_detectors = int(nb_detectors_cell.strip())
-    except ValueError as exc:
-        raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
-    if nb_detectors < 0:
-        raise MalformedRowError(f"row {row_num}: negative nbDetectors")
-    return sport, dport, heuristic, distance, nb_detectors
 
 
 def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
@@ -180,27 +168,18 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
                 dip = addresses.get(dip_cell)
                 if dip is None:
                     dip = _address(dip_cell, row_num, "dip", addresses)
-            # int() and float() strip the whitespace themselves; a row with
-            # a cell they refuse, a port out of range, a negative count or
-            # no attribute goes to _checked_fields, which names its fault
+            sport = None if sport_cell in nulls else _port(sport_cell, row_num, "sport")
+            dport = None if dport_cell in nulls else _port(dport_cell, row_num, "dport")
+            if sip is None and dip is None and sport is None and dport is None:
+                raise AllNullTupleError(f"row {row_num}: all four flow attributes are null")
             try:
-                sport = None if sport_cell in nulls else int(sport_cell)
-                dport = None if dport_cell in nulls else int(dport_cell)
-                heuristic = int(heuristic_cell)
-                distance = float(distance_cell)
-                nb_detectors = int(nb_detectors_cell)
-                regular = (
-                    (sport is None or 0 <= sport <= 65535)
-                    and (dport is None or 0 <= dport <= 65535)
-                    and nb_detectors >= 0
-                    and (sip is not None or dip is not None
-                         or sport is not None or dport is not None))
-            except ValueError:
-                regular = False
-            if not regular:
-                sport, dport, heuristic, distance, nb_detectors = _checked_fields(
-                    row_num, sip, dip, sport_cell, dport_cell, heuristic_cell,
-                    distance_cell, nb_detectors_cell)
+                heuristic = int(heuristic_cell.strip())
+                distance = float(distance_cell.strip())
+                nb_detectors = int(nb_detectors_cell.strip())
+            except ValueError as exc:
+                raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
+            if nb_detectors < 0:
+                raise MalformedRowError(f"row {row_num}: negative nbDetectors")
             append(new_entry(IdsLogEntry, (
                 sip, dip, sport, dport,
                 strings.setdefault(taxonomy, taxonomy),
@@ -210,5 +189,4 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
             )))
     if counters is not None:
         counters["skipped_label"] = counters.get("skipped_label", 0) + skipped
-        counters["accepted"] = counters.get("accepted", 0) + len(entries)
     return entries

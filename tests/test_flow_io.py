@@ -421,6 +421,18 @@ def test_bad_class_rejected(tmp_path):
         list(read_flows(path))
 
 
+def test_bad_distance_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_flows([labeled()], path)
+    rows = csv_rows(path)
+    rows[1][27] = "x"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with pytest.raises(MalformedRowError) as err:
+        list(read_flows(path))
+    assert str(err.value) == f"{path}: row 2: bad distance 'x'"
+
+
 def test_mixed_unit_read(tmp_path):
     # one file written in each unit parses to the same records
     rows = random_labeled(random.Random(13), 40)

@@ -73,8 +73,7 @@ def test_notice_rows_skipped_by_default(tmp_path):
     counters = {}
     entries = parse_log(path, counters=counters)
     assert [e.sip for e in entries] == ["5.6.7.8"]
-    assert counters["skipped_label"] == 2
-    assert counters["accepted"] == 1
+    assert counters == {"skipped_label": 2}
 
 
 def test_notice_rows_accepted_when_asked(tmp_path):
@@ -425,7 +424,6 @@ def _reference_rows(path, accepted_labels, counters):
                 len(entries)))
     if counters is not None:
         counters["skipped_label"] = counters.get("skipped_label", 0) + skipped
-        counters["accepted"] = counters.get("accepted", 0) + len(entries)
     return entries
 
 

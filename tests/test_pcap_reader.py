@@ -113,6 +113,34 @@ def test_arp_frame_skipped(tmp_path):
         assert reader.records_read == 1
 
 
+_V6 = ("2001:db8::1", "2001:db8::2")
+
+
+@pytest.mark.parametrize("linktype, frame, reason", [
+    (1, pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 17, pc.udp(1, 2)), vlan=7)[:16],
+     "short link header"),
+    (113, pc.linux_cooked(b"")[:15], "short link header"),
+    (101, b"", "short link header"),
+    (101, b"\x55" + pc.ipv4("10.0.0.1", "10.0.0.2", 17, pc.udp(1, 2))[1:], "not IP"),
+    (229, pc.ipv6(*_V6, 17, pc.udp(1, 2))[:39], "short IP header"),
+    (229, pc.ipv6(*_V6, 0, b"\x06"), "short IP header"),
+    (229, pc.ipv6(*_V6, 44, pc.ipv6_frag(17, 0)[:7]), "short IP header"),
+    (229, pc.ipv6(*_V6, 0, pc.ipv6_ext(6, 1)[:8]), "short IP header"),
+    (1, pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 1, pc.icmp(8, 0)[:3])),
+     "short transport header"),
+    (229, pc.ipv6(*_V6, 58, pc.icmp(128, 0)[:3]), "short transport header"),
+], ids=["vlan-tag-cut", "sll-under-16", "raw-empty", "raw-version-5", "ipv6-under-40",
+        "ipv6-ext-cut", "ipv6-frag-cut", "ipv6-ext-past-end", "icmp-under-4",
+        "icmpv6-under-4"])
+def test_each_skip_reason_branch(tmp_path, linktype, frame, reason):
+    path = write(tmp_path, pc.pcap([(1, 0, frame)], linktype=linktype))
+    with open_capture(path) as reader:
+        assert list(reader) == []
+        assert dict(reader.skip_reasons) == {reason: 1}
+        assert reader.decoded == 0
+        assert reader.decoded + reader.skipped == reader.records_read == 1
+
+
 def test_icmp_echo_request(tmp_path):
     frame = pc.ethernet(pc.ipv4("192.0.2.9", "192.0.2.10", 1, pc.icmp(8, 0)))
     path = write(tmp_path, pc.pcap([(2, 0, frame)]))

@@ -144,7 +144,8 @@ def index(tmp_path_factory):
 
 def _label(path, out, index, unit, verbatim):
     stats = LabelStats()
-    # a cache of two label suffixes starts afresh within these small files
+    # with room for two label suffixes, the cache starts afresh once the
+    # writer-form rows of a file have had three winners or more
     with mock.patch.object(flow_io, "_SUFFIXES_MAX", 2):
         rows = write_flows(label_flows(read_traffic(path, verbatim=verbatim), index, stats),
                            out, unit)
@@ -215,6 +216,29 @@ def test_distance_sign_is_kept(tmp_path, index):
     rows = verbatim[1].split(b"\n")
     assert rows[1].endswith(b",unsure,dos,anomalous,2,0.0,2")
     assert rows[2].endswith(b",unsure,dos,anomalous,2,-0.0,2")
+
+
+def test_label_suffix_cache_eviction(tmp_path, index):
+    # five winners cycled through a cache of two: each new winner finds it
+    # full, so verbatim rows render their suffix after the cache is emptied
+    lines = [
+        CANONICAL.replace("10.0.0.1", "10.0.0.7").replace("10.0.0.2", "10.0.0.8"),   # normal
+        CANONICAL.replace("10.0.0.2", "10.0.0.5"),   # distance 0
+        CANONICAL.replace("10.0.0.2", "10.0.0.6"),   # distance -0
+        CANONICAL,                                   # sYNscan
+        CANONICAL.replace("10.0.0.1", "10.0.0.3"),   # distance nan
+    ]
+    path = tmp_path / "flows.csv"
+    _write(path, ",".join(TRAFFIC_COLUMNS) + "\n" + "".join(lines * 3))
+    assert all(type(flow) is flow_io._TrafficLine for flow in read_traffic(path, verbatim=True))
+    for unit in (MILLISECONDS, SECONDS):
+        verbatim = _label(path, tmp_path / "a.csv", index, unit, True)
+        assert verbatim == _label(path, tmp_path / "b.csv", index, unit, False)
+        suffixes = [row.split(b",", 23)[23] for row in verbatim[1].splitlines()[1:]]
+        assert suffixes[:5] * 3 == suffixes
+        assert suffixes[:3] == [b"normal,,normal,0,0,0", b"unsure,dos,anomalous,2,0.0,2",
+                                b"unsure,dos,anomalous,2,-0.0,2"]
+        assert len(set(suffixes)) == 5
 
 
 def test_row_after_multiline_cell_is_numbered_by_record(tmp_path, index):
