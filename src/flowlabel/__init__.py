@@ -13,8 +13,7 @@ from .flow_builder import (AggregationConfig, FlowKey, FlowRecord,
 from .mawilab_log import DEFAULT_ACCEPTED_LABELS, IdsLogEntry, parse_log
 from .labeler import (CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, LabelStats,
                       LabeledFlow, MatchIndex, assign_class, build_index,
-                      label_flows, label_one, match_flow, precedence_key,
-                      specificity)
+                      label_flows, label_one, match_flow)
 from .flow_io import (MILLISECONDS, OUTPUT_COLUMNS, SECONDS, TRAFFIC_COLUMNS,
                       flags_from_string, flags_to_string, read_flows,
                       read_traffic, split_by_window, write_flows,
@@ -30,7 +29,6 @@ __all__ = [
     "SECONDS", "TRAFFIC_COLUMNS", "TruncatedFileError",
     "UnsupportedLinkTypeError", "assign_class", "build_flows", "build_index",
     "flags_from_string", "flags_to_string", "label_flows", "label_one",
-    "match_flow", "open_capture", "parse_log", "precedence_key", "read_flows",
-    "read_traffic", "specificity", "split_by_window", "write_flows",
-    "write_traffic",
+    "match_flow", "open_capture", "parse_log", "read_flows", "read_traffic",
+    "split_by_window", "write_flows", "write_traffic",
 ]

@@ -23,10 +23,10 @@ import time
 from . import __version__
 from ._fileio import file_stem, open_text_write, staged_path, written_in_place
 from .errors import InputFormatError
-from .flow_builder import (AggregationConfig, MODE_AGGREGATE, MODE_PER_PACKET,
-                           build_flows)
-from .flow_io import (MILLISECONDS, SECONDS, split_by_window, write_flows,
-                      write_traffic, read_traffic)
+from .flow_builder import (DEFAULT_ACTIVE_TIMEOUT_MS, DEFAULT_IDLE_TIMEOUT_MS, MODE_AGGREGATE,
+                           MODE_PER_PACKET, AggregationConfig, build_flows)
+from .flow_io import (MILLISECONDS, SECONDS, split_by_window, window_to_ms,
+                      write_flows, write_traffic, read_traffic)
 from .labeler import CLASS_UNSURE, LabelStats, build_index, label_flows
 from .mawilab_log import DEFAULT_ACCEPTED_LABELS, LABEL_NOTICE, parse_log
 from .pcap_reader import open_capture
@@ -68,11 +68,12 @@ def _seconds(text: str) -> float:
 
 
 def _window_seconds(text: str) -> float:
-    """A split window: finite in ms, and at least 1 ms once rounded to ms."""
+    """A split window, checked as split_by_window checks it."""
     seconds = _seconds(text)
-    if not math.isfinite(seconds * 1000) or round(seconds * 1000) < 1:
-        raise argparse.ArgumentTypeError(
-            f"window must be finite in ms and at least 0.001 seconds, got {text!r}")
+    try:
+        window_to_ms(seconds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
     return seconds
 
 
@@ -279,10 +280,12 @@ def _add_extract_options(p):
     p.add_argument("--mode", choices=[MODE_AGGREGATE, MODE_PER_PACKET],
                    default=MODE_AGGREGATE,
                    help="aggregate packets into flows (default) or emit one flow per packet")
-    p.add_argument("--idle-timeout", type=_seconds, default=30.0, metavar="SECONDS",
-                   help="cut a flow after this long without a packet (default 30; 0 disables)")
-    p.add_argument("--active-timeout", type=_seconds, default=1800.0, metavar="SECONDS",
-                   help="cut a flow after this total lifetime (default 1800; 0 disables)")
+    p.add_argument("--idle-timeout", type=_seconds, default=DEFAULT_IDLE_TIMEOUT_MS / 1000,
+                   metavar="SECONDS", help="cut a flow after this long without a packet "
+                                           "(default %(default)g; 0 disables)")
+    p.add_argument("--active-timeout", type=_seconds, default=DEFAULT_ACTIVE_TIMEOUT_MS / 1000,
+                   metavar="SECONDS", help="cut a flow after this total lifetime "
+                                           "(default %(default)g; 0 disables)")
 
 
 def _add_label_options(p):

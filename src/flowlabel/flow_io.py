@@ -424,6 +424,15 @@ class _WindowWriters:
         return paths
 
 
+def window_to_ms(window_s: float) -> int:
+    """A split window in whole ms; ValueError unless it is finite in ms and
+    at least 1 ms once rounded."""
+    window_ms = round(window_s * 1000) if isfinite(window_s * 1000) else 0
+    if window_ms < 1:
+        raise ValueError("window must be finite in ms and at least 0.001 seconds")
+    return window_ms
+
+
 def split_by_window(input_path, window_s: float, outdir, *,
                     min_stime: int | None = None) -> list[Path]:
     """Split a labeled CSV into per-window files.
@@ -435,12 +444,7 @@ def split_by_window(input_path, window_s: float, outdir, *,
     window index; a header-only input creates nothing and returns an empty
     list.
     """
-    # both checks fail before the input is read
-    if not isfinite(window_s * 1000):   # nan, inf, or too long to count in ms
-        raise ValueError(f"window must be finite in milliseconds, got {window_s}")
-    window_ms = round(window_s * 1000)
-    if window_ms <= 0:
-        raise ValueError(f"window must be positive, got {window_s}")
+    window_ms = window_to_ms(window_s)   # fails before the input is read
     if min_stime is None:
         for stime, _row in _read_csv(input_path, OUTPUT_COLUMNS, _window_row, _window_line):
             if min_stime is None or stime < min_stime:

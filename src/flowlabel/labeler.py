@@ -2,14 +2,15 @@
 
 A flow matches an entry when every non-null attribute of the entry equals
 the flow's (protocol plays no part).  The winner among the matches is the
-maximum under precedence_key: (L, weight) from specificity, then the
-earlier file position.  Its L alone gives the class: no match = normal,
-L=1 = unsure, L>1 = anomaly.
+one with the most non-null attributes (L); among equal L, the one whose
+attributes rank first under dip > sip > dport > sport; among equal
+attributes, the earlier row.  Its L alone gives the class: no match =
+normal, L=1 = unsure, L>1 = anomaly.
 
 MatchIndex holds one hash map per non-empty subset of {dip, sip, dport,
 sport} (tuple space search); an entry lives in the map of exactly its
-non-null subset, so entries sharing a slot share (L, weight) and the
-earlier row keeps it.  The maps are probed in precedence order, so a
+non-null subset, so entries sharing a slot differ in rank only by row
+order and the earlier row keeps it.  The maps are probed in precedence order, so a
 lookup stops at the first hit.  Per attribute, the index also keeps the
 set of values the log uses: a lookup first takes the flow's presence
 pattern (four set lookups) and probes only the non-empty maps whose
@@ -36,26 +37,10 @@ def attribute_count(entry: IdsLogEntry) -> int:
     return 4 - entry[:4].count(None)
 
 
-def specificity(entry: IdsLogEntry) -> tuple[int, int]:
-    """(L, weight) for an entry: L from attribute_count; weight is the
-    presence bit pattern ordered dip, sip, dport, sport so that plain
-    integer comparison ranks dip > sip > dport > sport."""
-    sip, dip, sport, dport = entry[:4]
-    bits = ((dip is not None) << 3 | (sip is not None) << 2
-            | (dport is not None) << 1 | (sport is not None))
-    return attribute_count(entry), bits
-
-
-def precedence_key(entry: IdsLogEntry) -> tuple[int, int, int]:
-    """Sort key realizing the total order: more attributes win, then the
-    dip > sip > dport > sport weight, then earlier file position."""
-    return *specificity(entry), -entry.file_order
-
-
 # Subset masks of {dip, sip, dport, sport}, bit 8 = dip down to bit 1 =
-# sport, in precedence order.  An entry's specificity is (popcount, mask)
-# of its own mask, so the first table in this order that holds the flow's
-# projection holds the winner.
+# sport, in precedence order: more attributes first, then the larger mask,
+# which ranks dip > sip > dport > sport.  So the first table in this order
+# that holds the flow's projection holds the winner.
 _MASKS = tuple(sorted(range(1, 16), key=lambda m: (m.bit_count(), m), reverse=True))
 
 # The probe key of each mask: IdsLogEntry and FlowKey both hold (sip,
@@ -132,7 +117,7 @@ class MatchIndex:
 
 def build_index(entries) -> MatchIndex:
     """Place each entry in the map of its non-null subset; when two entries
-    claim the same subset and values, they share (L, weight), so the one
+    claim the same subset and values, only row order ranks them, so the one
     earlier in the file keeps the slot (the other could never win a match)
     and the loser is counted in `shadowed`."""
     index = MatchIndex()

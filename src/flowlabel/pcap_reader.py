@@ -6,10 +6,12 @@ magics, and transparent gzip input.  Link layers: Ethernet (including
 IPv4/IPv6, or whose captured bytes truncate a header we need, are skipped
 and counted rather than treated as fatal.
 
-Records are parsed out of blocks of at least 256 KiB.  The common frame,
-untagged Ethernet carrying a first IPv4 fragment with its whole TCP or UDP
-header, is decoded inline; every other frame goes through the general
-decoder `_decode_frame`, which gives the same result for the common frame.
+Records are parsed out of blocks of at least 256 KiB, and one that claims
+more than _MAX_RECORD bytes is refused unbuffered.  The common frame,
+untagged Ethernet carrying an option-less IPv4 first fragment with its
+whole TCP or UDP header, is decoded inline; every other frame goes through
+the general decoder `_decode_frame`, which gives the same result for the
+common frame.
 The inline path renders each IPv4 address once per reader (up to
 _ADDRESS_CACHE_MAX of them at a time), so the packets of one flow share
 their address strings and the strings' hashes are computed once.
@@ -79,13 +81,15 @@ _IPV6_FRAGMENT = 44
 # source and destination address, and the two ports that follow an IPv4
 # header without options.
 _IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB2x4s4sHH")
-_PORTS = struct.Struct("!HH")
-_FAST_MIN_LEN = 14 + 20 + 8   # Ethernet + minimal IPv4 + UDP header
+_FAST_MIN_LEN = 14 + 20 + 8   # Ethernet + IPv4 without options + UDP header
+_FAST_TCP_LEN = 14 + 20 + 20   # the same with a TCP header
 # Rendered IPv4 addresses kept per reader; the cache is emptied when full.
 _ADDRESS_CACHE_MAX = 65536
 
 # Bytes buffered per refill; a record cut by a refill is carried over.
 _BLOCK = 256 * 1024
+# The most bytes a record may claim (libpcap's MAXIMUM_SNAPLEN).
+_MAX_RECORD = 262144
 
 
 class PacketRecord(NamedTuple):
@@ -187,16 +191,15 @@ class CaptureReader:
             have += len(chunk)
         return b"".join(parts)
 
-    def _short_read(self, offset, detail):
-        """The error for a stream that ends inside the record at byte
-        `offset`: a TruncatedFileError naming the record and saying
-        `detail`, or that the compressed stream ends early, or an
-        InputFormatError naming the record for a damaged gzip stream, or
-        else the held-back read error (an OSError)."""
+    def _short_read(self, offset, detail, error=TruncatedFileError):
+        """The error for the record at byte `offset` that cannot be read: an
+        `error` naming the record and saying `detail`, or a TruncatedFileError
+        that the compressed stream ends early, or an InputFormatError for a
+        damaged gzip stream, or else the held-back read error (an OSError)."""
         exc = self._read_error
         where = f"{self.path}: record {self.records_read + 1} at byte {offset}"
         if exc is None:
-            return TruncatedFileError(f"{where}: {detail}")
+            return error(f"{where}: {detail}")
         if isinstance(exc, EOFError):
             err = TruncatedFileError(f"{where}: compressed stream ends early")
         elif isinstance(exc, (gzip.BadGzipFile, zlib.error)):
@@ -205,6 +208,19 @@ class CaptureReader:
             return exc
         err.__cause__ = exc
         return err
+
+    def _refuse(self, offset, incl_len, unread):
+        """The error for the record at byte `offset` that claims more than
+        _MAX_RECORD bytes.  A gzip stream may show its damage only in its
+        end check, so its `unread` claimed bytes are inflated first, a block
+        at a time and dropped; a stream that fails there reports that, as
+        reading the record would."""
+        while unread > 0 and isinstance(self._fh, gzip.GzipFile) and (
+                chunk := self._fill(b"", 0)):
+            unread -= len(chunk)
+        return self._short_read(
+            offset, f"claims {incl_len} bytes, more than the {_MAX_RECORD} a record may hold",
+            InputFormatError)
 
     def __iter__(self):
         # one generator per reader, so a second iter() resumes the stream
@@ -215,7 +231,6 @@ class CaptureReader:
     def _decode_records(self):
         unpack_hdr = struct.Struct(self._order + "IIII").unpack_from
         unpack_ip = _IPV4_OVER_ETH.unpack_from
-        unpack_ports = _PORTS.unpack_from
         ntop, af_inet = socket.inet_ntop, socket.AF_INET
         names = {}   # packed IPv4 address -> its text
         new_record = tuple.__new__
@@ -235,6 +250,8 @@ class CaptureReader:
                         return
                     raise self._short_read(base, "file ends inside a packet record header")
             ts_sec, frac, incl_len, _orig = unpack_hdr(buf, pos)
+            if incl_len > _MAX_RECORD:
+                raise self._refuse(base + pos, incl_len, incl_len - (size - pos - 16))
             start = pos + 16
             pos = start + incl_len
             if pos > size:
@@ -247,34 +264,26 @@ class CaptureReader:
             self.records_read += 1
             ts_ms = ts_sec * 1000 + frac // div
             if fast and incl_len >= _FAST_MIN_LEN:
-                # untagged Ethernet, IPv4 first fragment, whole TCP/UDP header
+                # untagged Ethernet, option-less IPv4 first fragment, TCP/UDP
                 etype, vihl, ip_len, frag, proto, src, dst, sport, dport = unpack_ip(
                     buf, start + 12)
-                if etype == _ETH_IPV4 and 0x45 <= vihl <= 0x4F and not frag & 0x1FFF:
-                    l4 = start + 14 + (vihl & 0x0F) * 4
-                    if proto == PROTO_TCP and pos - l4 >= 20:
-                        flags = buf[l4 + 13]
-                    elif proto == PROTO_UDP and pos - l4 >= 8:
-                        flags = 0
-                    else:
-                        flags = -1
-                    if flags >= 0:
-                        if vihl != 0x45:   # options: the ports come later
-                            sport, dport = unpack_ports(buf, l4)
-                        src_name = names.get(src)
-                        if src_name is None:
-                            if len(names) >= _ADDRESS_CACHE_MAX:
-                                names.clear()
-                            src_name = names[src] = ntop(af_inet, src)
-                        dst_name = names.get(dst)
-                        if dst_name is None:
-                            if len(names) >= _ADDRESS_CACHE_MAX:
-                                names.clear()
-                            dst_name = names[dst] = ntop(af_inet, dst)
-                        yield new_record(PacketRecord, (
-                            ts_ms, src_name, dst_name, sport, dport, proto, ip_len, flags,
-                            None, None))
-                        continue
+                if etype == _ETH_IPV4 and vihl == 0x45 and not frag & 0x1FFF and (
+                        proto == PROTO_UDP or proto == PROTO_TCP and incl_len >= _FAST_TCP_LEN):
+                    flags = buf[start + 47] if proto == PROTO_TCP else 0
+                    src_name = names.get(src)
+                    if src_name is None:
+                        if len(names) >= _ADDRESS_CACHE_MAX:
+                            names.clear()
+                        src_name = names[src] = ntop(af_inet, src)
+                    dst_name = names.get(dst)
+                    if dst_name is None:
+                        if len(names) >= _ADDRESS_CACHE_MAX:
+                            names.clear()
+                        dst_name = names[dst] = ntop(af_inet, dst)
+                    yield new_record(PacketRecord, (
+                        ts_ms, src_name, dst_name, sport, dport, proto, ip_len, flags,
+                        None, None))
+                    continue
             rec = decode(ts_ms, buf[start:pos])
             if rec is None:
                 self.skipped += 1

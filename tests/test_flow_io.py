@@ -15,7 +15,7 @@ from flowlabel import (FlowKey, FlowRecord, LabeledFlow, MalformedRowError,
                        SchemaMismatchError, flags_from_string,
                        flags_to_string, read_flows, read_traffic,
                        split_by_window, write_flows, write_traffic)
-from flowlabel import flow_io
+from flowlabel import cli, flow_io
 from flowlabel.flow_io import (MILLISECONDS, OUTPUT_COLUMNS, SECONDS,
                                TRAFFIC_COLUMNS)
 from flowlabel.pcap_reader import (TCP_ACK, TCP_CWR, TCP_ECE, TCP_FIN,
@@ -561,12 +561,21 @@ def test_split_failure_removes_every_window_file(tmp_path, monkeypatch, fail_at)
     assert list((tmp_path / "win").iterdir()) == []
 
 
-def test_split_rejects_bad_window(tmp_path):
+def test_split_rejects_bad_window(tmp_path, capsys):
     src = tmp_path / "x.csv"
     write_flows(stamped([0]), src)
-    for window in (0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="^window must be "):
-            split_by_window(src, window, tmp_path / "win")
+    rule = "window must be finite in ms and at least 0.001 seconds"
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        split_by_window(src, float("nan"), tmp_path / "win")
+    # split -n refuses the same windows with the same text, plus what was typed
+    for text in ("0", "-1", "0.0004", "inf", "1e306"):
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            split_by_window(src, float(text), tmp_path / "win")
+        assert cli.main(["split", "-i", str(src), "-o", str(tmp_path / "win"),
+                         "-n", text]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument -n/--window: {rule}, got {text!r}\n")
+    assert not (tmp_path / "win").exists()
 
 
 def test_split_gz_stem(tmp_path):

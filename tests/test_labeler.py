@@ -3,7 +3,7 @@
 The oracle here is a from-scratch linear scan: for each flow it rechecks
 every log entry attribute by attribute and ranks matches by recomputing
 (attribute count, dip/sip/dport/sport presence bits, earlier file order)
-without calling the library's specificity helpers.
+without the library's masks.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""IDS log CSV parsing and rule-specificity tests."""
+"""IDS log CSV parsing tests."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowlabel import (AllNullTupleError, IdsLogEntry, MalformedRowError,
-                       MissingColumnError, parse_log, precedence_key,
-                       specificity)
+                       MissingColumnError, parse_log)
 from flowlabel.mawilab_log import (DEFAULT_ACCEPTED_LABELS, LABEL_ANOMALOUS,
                                    LABEL_NOTICE, LABEL_SUSPICIOUS, _parse_ip)
 
@@ -24,13 +23,6 @@ def write_log(tmp_path, rows, header=HEADER, name="log.csv"):
     path = tmp_path / name
     path.write_text("\n".join([header, *rows]) + "\n")
     return path
-
-
-def entry(sip=None, sport=None, dip=None, dport=None, **kw):
-    defaults = dict(taxonomy="t", heuristic=1, distance=1.0, nb_detectors=1,
-                    mawilab_label=LABEL_ANOMALOUS, file_order=0)
-    defaults.update(kw)
-    return IdsLogEntry(sip=sip, sport=sport, dip=dip, dport=dport, **defaults)
 
 
 def test_parse_complete_row(tmp_path):
@@ -46,14 +38,12 @@ def test_parse_complete_row(tmp_path):
     assert e.nb_detectors == 3
     assert e.mawilab_label == LABEL_ANOMALOUS
     assert e.file_order == 0
-    assert specificity(e) == (4, 0b1111)
 
 
 def test_sport_only_row(tmp_path):
     path = write_log(tmp_path, [",443,,,ntscACK,20,1.0,2,anomalous"])
     (e,) = parse_log(path)
     assert (e.sip, e.sport, e.dip, e.dport) == (None, 443, None, None)
-    assert specificity(e) == (1, 0b0001)
 
 
 def test_null_spellings(tmp_path):
@@ -176,43 +166,6 @@ def test_malformed_label_rows_never_checked(tmp_path):
     ])
     (e,) = parse_log(path)
     assert e.sip == "1.2.3.4"
-
-
-def test_specificity_pairs():
-    sip_dip = entry(sip="a", dip="b")
-    dip_dport = entry(dip="b", dport=80)
-    assert specificity(sip_dip) == (2, 0b1100)
-    assert specificity(dip_dport) == (2, 0b1010)
-    assert specificity(sip_dip) > specificity(dip_dport)
-    assert specificity(entry(sip="a", sport=1, dip="b", dport=2)) == (4, 0b1111)
-    assert specificity(entry(dport=80)) == (1, 0b0010)
-    assert specificity(entry(sport=80)) == (1, 0b0001)
-
-
-def test_precedence_total_order():
-    # every (mask, file_order) combination gets a distinct key, so sorting
-    # candidate rules never depends on tie-breaking by identity
-    entries = []
-    order = 0
-    for mask in range(1, 16):
-        for _dup in range(2):
-            entries.append(entry(
-                sip="1.1.1.1" if mask & 0b0100 else None,
-                sport=1 if mask & 0b0001 else None,
-                dip="2.2.2.2" if mask & 0b1000 else None,
-                dport=2 if mask & 0b0010 else None,
-                file_order=order))
-            order += 1
-    keys = [precedence_key(e) for e in entries]
-    assert len(set(keys)) == len(keys)
-    ranked = sorted(entries, key=precedence_key, reverse=True)
-    # higher attribute count always outranks lower
-    counts = [specificity(e)[0] for e in ranked]
-    assert counts == sorted(counts, reverse=True)
-    # among equal masks, the earlier row wins
-    for a, b in zip(ranked, ranked[1:]):
-        if specificity(a) == specificity(b):
-            assert a.file_order < b.file_order
 
 
 def test_parse_is_idempotent(tmp_path):

@@ -12,10 +12,11 @@ import zlib
 import pytest
 
 import packetcraft as pc
-from flowlabel import NotPcapError, TruncatedFileError, UnsupportedLinkTypeError, open_capture
+from flowlabel import (FlowKey, NotPcapError, TruncatedFileError, UnsupportedLinkTypeError,
+                       build_flows, open_capture)
 from flowlabel import pcap_reader
 from flowlabel.errors import InputFormatError
-from flowlabel.pcap_reader import TCP_ACK, TCP_SYN, PacketRecord
+from flowlabel.pcap_reader import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, PacketRecord
 
 
 def write(tmp_path, data: bytes, name="trace.pcap"):
@@ -221,6 +222,35 @@ def test_record_claims_more_than_remains(tmp_path):
     with open_capture(path) as reader:
         with pytest.raises(TruncatedFileError):
             list(reader)
+
+
+@pytest.mark.parametrize("name", ["trace.pcap", "trace.pcap.gz"])
+def test_record_over_the_largest_snaplen_refused_unbuffered(tmp_path, monkeypatch, name):
+    first = pc.pcap([(1, 0, tcp_frame())])
+    data = first + struct.pack("<IIII", 2, 0, 0xFFFFFFF0, 0xFFFFFFF0) + bytes(1 << 20)
+    path = write(tmp_path, gzip.compress(data, mtime=0) if name.endswith(".gz") else data, name)
+    needs = []
+    fill = pcap_reader.CaptureReader._fill
+
+    def recording_fill(self, rest, need):
+        needs.append(need)
+        return fill(self, rest, need)
+
+    monkeypatch.setattr(pcap_reader.CaptureReader, "_fill", recording_fill)
+    with open_capture(path) as reader:
+        with pytest.raises(InputFormatError) as err:
+            list(reader)
+    assert str(err.value) == (f"{path}: record 2 at byte {len(first)}: claims 4294967280 "
+                              "bytes, more than the 262144 a record may hold")
+    assert not isinstance(err.value, TruncatedFileError)
+    assert needs and max(needs) <= 262144
+
+
+def test_record_of_the_largest_snaplen_read(tmp_path):
+    frame = tcp_frame() + bytes(262144 - len(tcp_frame()))
+    path = write(tmp_path, pc.pcap([(1, 0, frame), (2, 0, tcp_frame())]))
+    with open_capture(path) as reader:
+        assert len(list(reader)) == 2
 
 
 def test_file_ends_inside_record_header(tmp_path):
@@ -463,6 +493,29 @@ def test_fast_path_matches_frame_decoder(tmp_path, monkeypatch, cache_max):
         assert fast.skip_reasons == ref.skip_reasons
         assert set(ref.skip_reasons) == {"short link header", "not IP", "short IP header",
                                          "short transport header"}
+
+
+def test_one_flow_whichever_decoder_path(tmp_path, monkeypatch):
+    # one TCP 5-tuple: the fast path takes the untagged option-less packet,
+    # the general decoder the VLAN, QinQ and IPv4-options ones
+    ip = [pc.ipv4("10.0.0.1", "10.0.0.2", 6, pc.tcp(1234, 80, flags), **kw)
+          for flags, kw in [(TCP_SYN, {}), (TCP_ACK, {}), (TCP_PSH | TCP_ACK, {}),
+                            (TCP_FIN | TCP_ACK, {"options": b"\x01" * 8})]]
+    frames = [pc.ethernet(ip[0]), pc.ethernet(ip[1], vlan=7),
+              pc.ethernet(ip[2], vlan=7, outer_vlan=100), pc.ethernet(ip[3])]
+    path = write(tmp_path, pc.pcap([(1, i * 1000, f) for i, f in enumerate(frames)]))
+    general = []
+    with open_capture(path) as reader:
+        decode = reader._decode_frame
+        monkeypatch.setattr(reader, "_decode_frame",
+                            lambda ts_ms, data: general.append(data) or decode(ts_ms, data))
+        (flow,) = build_flows(reader)
+    assert general == frames[1:]
+    assert flow.key == FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6)
+    assert flow.packets == 4
+    assert flow.bytes == sum(map(len, ip))
+    assert flow.flags == TCP_SYN | TCP_ACK | TCP_PSH | TCP_FIN
+    assert (flow.stime_ms, flow.etime_ms) == (1000, 1003)
 
 
 def test_fast_path_shares_address_strings(tmp_path):
