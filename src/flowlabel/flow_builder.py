@@ -5,8 +5,9 @@ or active timeout cuts the flow; `per-packet` turns every packet into its
 own single-packet flow record.  Both emit flows ordered by flow end time
 (ties by first-seen order) and conserve packet and byte totals exactly.
 
-Each flow is one FlowRecord, built when its first packet arrives and
-updated in place, and one entry in a heap ordered by end time.
+A live flow is a `_Flow`, keyed by the reader's packed 5-tuple (or by the
+text 5-tuple of other PacketRecords), and one entry in a heap ordered by
+end time.  Its FlowRecord, FlowKey text included, is built on emission.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .pcap_reader import CaptureReader, render
 
 MODE_AGGREGATE = "aggregate"
 MODE_PER_PACKET = "per-packet"
@@ -59,6 +62,20 @@ class FlowRecord:
         return self.etime_ms - self.stime_ms
 
 
+@dataclass(slots=True)
+class _Flow:
+    """A live flow: its key and what its packets set."""
+    key: tuple
+    packets: int
+    bytes: int
+    initial_flags: int
+    session_flags: int
+    stime_ms: int
+    etime_ms: int
+    icmp_type: int | None
+    icmp_code: int | None
+
+
 @dataclass
 class AggregationConfig:
     mode: str = MODE_AGGREGATE
@@ -67,9 +84,9 @@ class AggregationConfig:
     reorder_window_ms: int = DEFAULT_REORDER_WINDOW_MS
 
 
-def _due(heap: list, flows: dict, barrier: float):
-    """Pop and yield, in (etime, first-seen) order, every record in `heap`
-    that ends before `barrier`; a record still in `flows` leaves it."""
+def _due(heap: list, flows: dict, barrier: float, make_key):
+    """Yield, in (etime, first-seen) order, the FlowRecord of each flow in `heap`
+    that ends before `barrier`, keyed by make_key(key); each leaves `flows`."""
     while heap and heap[0][0] < barrier:
         t, seq, rec = heap[0]
         if t < rec.etime_ms:
@@ -78,11 +95,14 @@ def _due(heap: list, flows: dict, barrier: float):
         heapq.heappop(heap)
         if flows.get(rec.key) is rec:
             del flows[rec.key]
-        yield rec
+        initial, session = rec.initial_flags, rec.session_flags
+        yield FlowRecord(make_key(rec.key), rec.packets, rec.bytes, initial | session,
+                         initial, session, rec.stime_ms, rec.etime_ms, rec.icmp_type,
+                         rec.icmp_code)
 
 
 def build_flows(packets, config: AggregationConfig | None = None, counters=None):
-    """Yield FlowRecords for a stream of PacketRecords.
+    """Yield FlowRecords for a CaptureReader or any iterable of PacketRecords.
 
     Emission is ordered by (etime, first-seen) whenever input reordering
     stays inside config.reorder_window_ms; packets reordered further than
@@ -104,9 +124,11 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     # flow's end is also that far after its start, so it cuts the flow.
     barrier_lag = reorder if per_packet else min(idle, active) + reorder
 
-    # Live flows are keyed by plain 5-tuples, which hash and compare equal
-    # to the FlowKey each flow record carries.
-    flows: dict[tuple, FlowRecord] = {}
+    if isinstance(packets, CaptureReader):
+        stream, make_key = packets._keyed(), lambda key: FlowKey._make(render(key))
+    else:
+        stream, make_key = ((p[0], p[1:6], p[6], p[7], p[8], p[9]) for p in packets), FlowKey._make
+    flows: dict[tuple, _Flow] = {}
     # One (etime, seq, record) entry per flow, pushed when the flow starts
     # and moved forward only when it surfaces: an entry's time is a lower
     # bound of its record's etime, so every flow that ends before the
@@ -116,19 +138,16 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
     seq = 0
     peak = 0   # the most live flows held at once
 
-    for p in packets:
-        ts, src, dst, sport, dport, proto, ip_len, flags, itype, icode = p
+    for ts, key, ip_len, flags, itype, icode in stream:
         if ts > clock:
             clock = ts
         elif counters is not None and ts < clock - reorder:
             counters["out_of_order"] = counters.get("out_of_order", 0) + 1
 
-        key = (src, dst, sport, dport, proto)
         rec = None if per_packet else flows.get(key)
         if rec is None or ts - rec.etime_ms > idle or ts - rec.stime_ms > active:
             # a new flow; one cut by a timeout waits in the heap for its turn
-            rec = FlowRecord(FlowKey._make(key), 1, ip_len, flags, flags, 0,
-                             ts, ts, itype, icode)
+            rec = _Flow(key, 1, ip_len, flags, 0, ts, ts, itype, icode)
             heapq.heappush(heap, (ts, seq, rec))
             seq += 1
             if not per_packet:
@@ -138,7 +157,6 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
         else:
             rec.packets += 1
             rec.bytes += ip_len
-            rec.flags |= flags
             rec.session_flags |= flags
             if ts < rec.stime_ms:
                 rec.stime_ms = ts
@@ -149,8 +167,8 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
         # generator; every live flow holds an entry, so the heap is not empty.
         barrier = clock - barrier_lag
         if heap[0][0] < barrier:
-            yield from _due(heap, flows, barrier)
+            yield from _due(heap, flows, barrier, make_key)
 
     if counters is not None:
         counters["peak_live_flows"] = peak
-    yield from _due(heap, flows, never)
+    yield from _due(heap, flows, never, make_key)

@@ -12,9 +12,10 @@ untagged Ethernet carrying an option-less IPv4 first fragment with its
 whole TCP or UDP header, is decoded inline; every other frame goes through
 the general decoder `_decode_frame`, which gives the same result for the
 common frame.
-The inline path renders each IPv4 address once per reader (up to
-_ADDRESS_CACHE_MAX of them at a time), so the packets of one flow share
-their address strings and the strings' hashes are computed once.
+Both paths yield the items of `CaptureReader._keyed`, `(ts_ms, key, ip_len,
+tcp_flags, icmp_type, icmp_code)`.  `key` is the packed 5-tuple `(proto,
+src + dst + sport + dport)`: 12 bytes for IPv4, 36 for IPv6, zero ports
+for ICMP and non-first fragments.  Only `render` turns it into text.
 """
 
 from __future__ import annotations
@@ -77,14 +78,17 @@ _IPV6_EXT = (0, 43, 60)   # hop-by-hop, routing, destination options
 _IPV6_FRAGMENT = 44
 
 # The fast path's view of an untagged Ethernet frame from the ethertype on:
-# ethertype, version/IHL, total length, flags/fragment offset, protocol,
-# source and destination address, and the two ports that follow an IPv4
-# header without options.
-_IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB2x4s4sHH")
+# ethertype, version/IHL, total length, flags/fragment offset, protocol.
+# Source and destination address and the two ports that follow an IPv4
+# header without options are frame bytes 26-37, its packed key.
+_IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB")
 _FAST_MIN_LEN = 14 + 20 + 8   # Ethernet + IPv4 without options + UDP header
 _FAST_TCP_LEN = 14 + 20 + 20   # the same with a TCP header
-# Rendered IPv4 addresses kept per reader; the cache is emptied when full.
-_ADDRESS_CACHE_MAX = 65536
+_NO_PORTS = bytes(4)
+# the shortest transport header decoded, by protocol
+_TRANSPORT_MIN = {PROTO_TCP: 20, PROTO_UDP: 8, PROTO_ICMP: 4, PROTO_ICMP6: 4}
+_KEY_LAYOUTS = {12: (socket.AF_INET, struct.Struct("!4s4sHH").unpack),
+                36: (socket.AF_INET6, struct.Struct("!16s16sHH").unpack)}
 
 # Bytes buffered per refill; a record cut by a refill is carried over.
 _BLOCK = 256 * 1024
@@ -135,7 +139,8 @@ class CaptureReader:
         self.skipped = 0
         self.skip_reasons = Counter()
         self._read_error = None   # a failed stream read, held back (see _fill)
-        self._packets = None
+        self._stream = None    # the keyed packet stream
+        self._packets = None   # the same, rendered as PacketRecords
 
     @property
     def decoded(self) -> int:
@@ -223,17 +228,21 @@ class CaptureReader:
             InputFormatError)
 
     def __iter__(self):
-        # one generator per reader, so a second iter() resumes the stream
+        # one stream per reader, so a second iter() resumes it
         if self._packets is None:
-            self._packets = self._decode_records()
+            self._packets = (PacketRecord(ts_ms, *render(key), *rest)
+                             for ts_ms, key, *rest in self._keyed())
         return self._packets
+
+    def _keyed(self):
+        """The keyed packet stream (see the module docstring)."""
+        if self._stream is None:
+            self._stream = self._decode_records()
+        return self._stream
 
     def _decode_records(self):
         unpack_hdr = struct.Struct(self._order + "IIII").unpack_from
         unpack_ip = _IPV4_OVER_ETH.unpack_from
-        ntop, af_inet = socket.inet_ntop, socket.AF_INET
-        names = {}   # packed IPv4 address -> its text
-        new_record = tuple.__new__
         decode = self._decode_frame
         fast = self.linktype == LINKTYPE_ETHERNET
         div = 1_000_000 if self.nanosecond else 1000
@@ -265,30 +274,17 @@ class CaptureReader:
             ts_ms = ts_sec * 1000 + frac // div
             if fast and incl_len >= _FAST_MIN_LEN:
                 # untagged Ethernet, option-less IPv4 first fragment, TCP/UDP
-                etype, vihl, ip_len, frag, proto, src, dst, sport, dport = unpack_ip(
-                    buf, start + 12)
+                etype, vihl, ip_len, frag, proto = unpack_ip(buf, start + 12)
                 if etype == _ETH_IPV4 and vihl == 0x45 and not frag & 0x1FFF and (
                         proto == PROTO_UDP or proto == PROTO_TCP and incl_len >= _FAST_TCP_LEN):
-                    flags = buf[start + 47] if proto == PROTO_TCP else 0
-                    src_name = names.get(src)
-                    if src_name is None:
-                        if len(names) >= _ADDRESS_CACHE_MAX:
-                            names.clear()
-                        src_name = names[src] = ntop(af_inet, src)
-                    dst_name = names.get(dst)
-                    if dst_name is None:
-                        if len(names) >= _ADDRESS_CACHE_MAX:
-                            names.clear()
-                        dst_name = names[dst] = ntop(af_inet, dst)
-                    yield new_record(PacketRecord, (
-                        ts_ms, src_name, dst_name, sport, dport, proto, ip_len, flags,
-                        None, None))
+                    yield (ts_ms, (proto, buf[start + 26:start + 38]), ip_len,
+                           buf[start + 47] if proto == PROTO_TCP else 0, None, None)
                     continue
-            rec = decode(ts_ms, buf[start:pos])
-            if rec is None:
+            item = decode(ts_ms, buf[start:pos])
+            if item is None:
                 self.skipped += 1
             else:
-                yield rec
+                yield item
 
     # -- decoding ----------------------------------------------------------
 
@@ -298,22 +294,17 @@ class CaptureReader:
 
     def _decode_frame(self, ts_ms, data):
         lt = self.linktype
-        if lt == LINKTYPE_ETHERNET:
-            if len(data) < 14:
+        if lt == LINKTYPE_ETHERNET or lt == LINKTYPE_LINUX_SLL:
+            off = 14 if lt == LINKTYPE_ETHERNET else 16   # the ethertype's end
+            if len(data) < off:
                 return self._skip("short link header")
-            ethertype = int.from_bytes(data[12:14], "big")
-            off = 14
-            while ethertype in (_ETH_VLAN, _ETH_QINQ):
+            ethertype = int.from_bytes(data[off - 2:off], "big")
+            while lt == LINKTYPE_ETHERNET and ethertype in (_ETH_VLAN, _ETH_QINQ):
                 if len(data) < off + 4:
                     return self._skip("short link header")
                 ethertype = int.from_bytes(data[off + 2:off + 4], "big")
                 off += 4
             payload = data[off:]
-        elif lt == LINKTYPE_LINUX_SLL:
-            if len(data) < 16:
-                return self._skip("short link header")
-            ethertype = int.from_bytes(data[14:16], "big")
-            payload = data[16:]
         else:   # raw IP variants
             if not data:
                 return self._skip("short link header")
@@ -333,19 +324,13 @@ class CaptureReader:
     def _decode_ipv4(self, ts_ms, buf):
         if len(buf) < 20:
             return self._skip("short IP header")
-        b0 = buf[0]
-        if b0 >> 4 != 4:
+        if buf[0] >> 4 != 4:
             return self._skip("not IP")
-        ihl = (b0 & 0x0F) * 4
+        ihl = (buf[0] & 0x0F) * 4
         if ihl < 20 or len(buf) < ihl:
             return self._skip("short IP header")
-        total_len = int.from_bytes(buf[2:4], "big")
-        frag_field = int.from_bytes(buf[6:8], "big")
-        proto = buf[9]
-        src = socket.inet_ntop(socket.AF_INET, buf[12:16])
-        dst = socket.inet_ntop(socket.AF_INET, buf[16:20])
-        first_fragment = (frag_field & 0x1FFF) == 0
-        return self._decode_transport(ts_ms, src, dst, proto, total_len,
+        first_fragment = not int.from_bytes(buf[6:8], "big") & 0x1FFF
+        return self._decode_transport(ts_ms, buf[12:20], buf[9], int.from_bytes(buf[2:4], "big"),
                                       buf[ihl:], first_fragment)
 
     def _decode_ipv6(self, ts_ms, buf):
@@ -355,8 +340,6 @@ class CaptureReader:
             return self._skip("not IP")
         payload_len = int.from_bytes(buf[4:6], "big")
         proto = buf[6]
-        src = socket.inet_ntop(socket.AF_INET6, buf[8:24])
-        dst = socket.inet_ntop(socket.AF_INET6, buf[24:40])
         off = 40
         first_fragment = True
         while True:
@@ -376,34 +359,33 @@ class CaptureReader:
                 break
         if len(buf) < off:
             return self._skip("short IP header")
-        return self._decode_transport(ts_ms, src, dst, proto, 40 + payload_len,
+        return self._decode_transport(ts_ms, buf[8:40], proto, 40 + payload_len,
                                       buf[off:], first_fragment)
 
-    def _decode_transport(self, ts_ms, src, dst, proto, ip_len, seg, first_fragment):
-        sport = dport = 0
-        flags = 0
-        itype = icode = None
+    def _decode_transport(self, ts_ms, addrs, proto, ip_len, seg, first_fragment):
+        ports, flags, itype, icode = _NO_PORTS, 0, None, None
+        icmp = proto == PROTO_ICMP or proto == PROTO_ICMP6
         if not first_fragment:
             # ports (and the ICMP header) live in the first fragment only
-            if proto in (PROTO_ICMP, PROTO_ICMP6):
+            if icmp:
                 itype = icode = 0
-        elif proto in (PROTO_TCP,):
-            if len(seg) < 20:
-                return self._skip("short transport header")
-            sport = int.from_bytes(seg[0:2], "big")
-            dport = int.from_bytes(seg[2:4], "big")
-            flags = seg[13]
-        elif proto == PROTO_UDP:
-            if len(seg) < 8:
-                return self._skip("short transport header")
-            sport = int.from_bytes(seg[0:2], "big")
-            dport = int.from_bytes(seg[2:4], "big")
-        elif proto in (PROTO_ICMP, PROTO_ICMP6):
-            if len(seg) < 4:
-                return self._skip("short transport header")
+        elif len(seg) < _TRANSPORT_MIN.get(proto, 0):
+            return self._skip("short transport header")
+        elif icmp:
             itype, icode = seg[0], seg[1]
-        return PacketRecord(ts_ms, src, dst, sport, dport, proto, ip_len,
-                            flags, itype, icode)
+        elif proto in _TRANSPORT_MIN:   # TCP or UDP
+            ports = seg[:4]
+            flags = seg[13] if proto == PROTO_TCP else 0
+        return (ts_ms, (proto, addrs + ports), ip_len, flags, itype, icode)
+
+
+def render(key) -> tuple:
+    """The text 5-tuple (src_ip, dst_ip, src_port, dst_port, proto) of a
+    packed flow key."""
+    proto, packed = key
+    family, unpack = _KEY_LAYOUTS[len(packed)]
+    src, dst, sport, dport = unpack(packed)
+    return (socket.inet_ntop(family, src), socket.inet_ntop(family, dst), sport, dport, proto)
 
 
 def open_capture(path) -> CaptureReader:

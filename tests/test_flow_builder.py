@@ -9,10 +9,12 @@ the rest, stime/etime = min/max timestamp.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from flowlabel import AggregationConfig, FlowKey, build_flows
+import packetcraft as pc
+from flowlabel import AggregationConfig, FlowKey, build_flows, open_capture
 from flowlabel.flow_builder import MODE_PER_PACKET
 from flowlabel.pcap_reader import (PacketRecord, TCP_ACK, TCP_FIN, TCP_PSH,
                                    TCP_SYN)
@@ -375,3 +377,40 @@ def test_build_flows_matches_reference_aggregator(mode):
             assert got == want
         else:
             assert sorted(got) == sorted(want)
+
+
+# ---------------------------------------------------------------------------
+# memory held per live flow
+
+def test_bytes_per_live_flow(tmp_path):
+    # 4,000 distinct single-packet TCP and UDP flows with both timeouts off,
+    # so every flow is live when the first one is emitted.  On Python
+    # 3.10-3.13 a live flow held 566-574 B when it was a FlowRecord keyed by
+    # a text FlowKey (with the reader's address cache), and holds 341-344 B
+    # as a 9-slot live record keyed by the reader's packed key.  The bound
+    # is 35 % below the lower of the former.
+    n = 4000
+    frames = []
+    for i in range(n):
+        src = f"10.{i >> 8}.{i & 255}.1"
+        seg = pc.tcp(1024 + i, 80, TCP_SYN) if i % 2 else pc.udp(1024 + i, 53)
+        frames.append((*pc.ms_to_sec_us(1_530_453_600_000 + i),
+                       pc.ethernet(pc.ipv4(src, "192.0.2.1", 6 if i % 2 else 17, seg))))
+    path = tmp_path / "flows.pcap"
+    path.write_bytes(pc.pcap(frames))
+    del frames
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with open_capture(path) as reader:
+            counters = {}
+            base = tracemalloc.get_traced_memory()[0]
+            flows = build_flows(reader, no_timeouts(), counters)
+            next(flows)
+            held = tracemalloc.get_traced_memory()[0] - base
+            flows.close()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert counters["peak_live_flows"] == n
+    assert held / n < 365

@@ -12,11 +12,13 @@ import zlib
 import pytest
 
 import packetcraft as pc
-from flowlabel import (FlowKey, NotPcapError, TruncatedFileError, UnsupportedLinkTypeError,
-                       build_flows, open_capture)
+from flowlabel import (AggregationConfig, FlowKey, NotPcapError, TruncatedFileError,
+                       UnsupportedLinkTypeError, build_flows, open_capture)
 from flowlabel import pcap_reader
 from flowlabel.errors import InputFormatError
+from flowlabel.flow_builder import MODE_PER_PACKET
 from flowlabel.pcap_reader import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, PacketRecord
+from test_flow_builder import as_tuple, reference_flows
 
 
 def write(tmp_path, data: bytes, name="trace.pcap"):
@@ -470,63 +472,125 @@ def frames_of(capture: bytes) -> list[bytes]:
     return frames
 
 
-@pytest.mark.parametrize("cache_max", [None, 2], ids=["default-cap", "cap-2"])
-def test_fast_path_matches_frame_decoder(tmp_path, monkeypatch, cache_max):
-    # with a cap of 2 the address cache is emptied on most misses
-    if cache_max is not None:
-        monkeypatch.setattr(pcap_reader, "_ADDRESS_CACHE_MAX", cache_max)
+@pytest.mark.parametrize("block", [None, 2], ids=["default-cap", "cap-2"])
+def test_fast_path_matches_frame_decoder(tmp_path, monkeypatch, block):
+    # with refills capped at 2 bytes nearly every record is cut by a refill
+    # and carried over into the next buffer
+    if block is not None:
+        monkeypatch.setattr(pcap_reader, "_BLOCK", block)
     random_trace, _ = pc.random_trace(random.Random(99), 3000, arp_every=11)
     frames = differential_frames() + frames_of(random_trace)
     path = write(tmp_path, pc.pcap([(i, 250, f) for i, f in enumerate(frames)]))
-    with open_capture(path) as fast, open_capture(path) as ref:
-        got = list(fast)
+    with open_capture(path) as fast, open_capture(path) as ref, open_capture(path) as text:
+        keyed = fast._keyed()
         want = []
         for i, frame in enumerate(frames):
-            rec = ref._decode_frame(i * 1000, frame)
-            if rec is not None:
-                want.append(rec)
-        assert got == want
+            item = ref._decode_frame(i * 1000, frame)
+            if item is not None:
+                # frame by frame: the keyed stream yields it from this record
+                assert next(keyed) == item
+                assert fast.records_read == i + 1
+                assert fast.skip_reasons == ref.skip_reasons
+                want.append(item)
+        assert next(keyed, None) is None
+        got = list(text)
+        assert got == [PacketRecord(ts, *pcap_reader.render(key), *rest)
+                       for ts, key, *rest in want]
         assert all(type(rec) is PacketRecord for rec in got)
-        assert fast.records_read == len(frames)
-        assert fast.decoded == len(want)
-        assert fast.skipped == len(frames) - len(want)
-        assert fast.skip_reasons == ref.skip_reasons
+        for reader in (fast, text):
+            assert reader.records_read == len(frames)
+            assert reader.decoded == len(want)
+            assert reader.skipped == len(frames) - len(want)
+            assert reader.skip_reasons == ref.skip_reasons
         assert set(ref.skip_reasons) == {"short link header", "not IP", "short IP header",
                                          "short transport header"}
 
 
 def test_one_flow_whichever_decoder_path(tmp_path, monkeypatch):
     # one TCP 5-tuple: the fast path takes the untagged option-less packet,
-    # the general decoder the VLAN, QinQ and IPv4-options ones
+    # the general decoder the VLAN, QinQ and IPv4-options ones; likewise
+    # one ICMP flow (general decoder only) and one fragmented UDP flow,
+    # whose first fragment takes the fast path and whose later ones carry
+    # zero ports
     ip = [pc.ipv4("10.0.0.1", "10.0.0.2", 6, pc.tcp(1234, 80, flags), **kw)
           for flags, kw in [(TCP_SYN, {}), (TCP_ACK, {}), (TCP_PSH | TCP_ACK, {}),
                             (TCP_FIN | TCP_ACK, {"options": b"\x01" * 8})]]
     frames = [pc.ethernet(ip[0]), pc.ethernet(ip[1], vlan=7),
               pc.ethernet(ip[2], vlan=7, outer_vlan=100), pc.ethernet(ip[3])]
+    icmp = [pc.ipv4("10.0.0.3", "10.0.0.4", 1, pc.icmp(8, 0)),
+            pc.ipv4("10.0.0.3", "10.0.0.4", 1, pc.icmp(8, 0), options=b"\x01" * 4)]
+    udp = [pc.ipv4("10.0.0.5", "10.0.0.6", 17, pc.udp(53, 5353, b"\x00" * 16),
+                   more_fragments=True),
+           pc.ipv4("10.0.0.5", "10.0.0.6", 17, b"\x00" * 16, frag_offset8=3, more_fragments=True),
+           pc.ipv4("10.0.0.5", "10.0.0.6", 17, b"\x00" * 8, frag_offset8=5)]
+    frames += [pc.ethernet(icmp[0]), pc.ethernet(icmp[1], vlan=7)]
+    frames += [pc.ethernet(udp[0]), pc.ethernet(udp[1]), pc.ethernet(udp[2], vlan=7)]
     path = write(tmp_path, pc.pcap([(1, i * 1000, f) for i, f in enumerate(frames)]))
     general = []
     with open_capture(path) as reader:
         decode = reader._decode_frame
         monkeypatch.setattr(reader, "_decode_frame",
                             lambda ts_ms, data: general.append(data) or decode(ts_ms, data))
-        (flow,) = build_flows(reader)
-    assert general == frames[1:]
-    assert flow.key == FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6)
-    assert flow.packets == 4
-    assert flow.bytes == sum(map(len, ip))
-    assert flow.flags == TCP_SYN | TCP_ACK | TCP_PSH | TCP_FIN
-    assert (flow.stime_ms, flow.etime_ms) == (1000, 1003)
+        tcp_flow, icmp_flow, first, later = build_flows(reader)
+    assert general == frames[1:6] + frames[7:]
+    assert tcp_flow.key == FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6)
+    assert tcp_flow.packets == 4
+    assert tcp_flow.bytes == sum(map(len, ip))
+    assert tcp_flow.flags == TCP_SYN | TCP_ACK | TCP_PSH | TCP_FIN
+    assert (tcp_flow.stime_ms, tcp_flow.etime_ms) == (1000, 1003)
+    assert icmp_flow.key == FlowKey("10.0.0.3", "10.0.0.4", 0, 0, 1)
+    assert (icmp_flow.packets, icmp_flow.bytes) == (2, sum(map(len, icmp)))
+    assert (icmp_flow.icmp_type, icmp_flow.icmp_code, icmp_flow.flags) == (8, 0, 0)
+    assert first.key == FlowKey("10.0.0.5", "10.0.0.6", 53, 5353, 17)
+    assert (first.packets, first.bytes) == (1, len(udp[0]))
+    assert later.key == FlowKey("10.0.0.5", "10.0.0.6", 0, 0, 17)
+    assert (later.packets, later.bytes) == (2, len(udp[1]) + len(udp[2]))
+    assert (later.icmp_type, later.icmp_code) == (None, None)
 
 
-def test_fast_path_shares_address_strings(tmp_path):
-    frames = [tcp_frame(), tcp_frame(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1234),
-              pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 17, pc.udp(53, 53, b"")))]
-    path = write(tmp_path, pc.pcap([(i, 0, f) for i, f in enumerate(frames)]))
+def test_mapped_and_dotted_addresses_stay_two_flows(tmp_path):
+    frames = [pc.ethernet(pc.ipv6("::ffff:10.0.0.1", "::ffff:10.0.0.2", 6,
+                                  pc.tcp(1234, 80, TCP_SYN)), pc.ETH_IPV6),
+              tcp_frame(flags=TCP_ACK, src="10.0.0.1", dst="10.0.0.2"),
+              pc.ethernet(pc.ipv6("::ffff:10.0.0.1", "::ffff:10.0.0.2", 6,
+                                  pc.tcp(1234, 80, TCP_ACK)), pc.ETH_IPV6)]
+    path = write(tmp_path, pc.pcap([(1, i * 1000, f) for i, f in enumerate(frames)]))
     with open_capture(path) as reader:
-        a, b, c = reader
-    assert a.src_ip == "10.0.0.1" and a.dst_ip == "10.0.0.2"
-    assert a.src_ip is b.dst_ip is c.src_ip
-    assert a.dst_ip is b.src_ip is c.dst_ip
+        dotted, mapped = build_flows(reader)
+    assert dotted.key == FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6)
+    assert mapped.key == FlowKey("::ffff:10.0.0.1", "::ffff:10.0.0.2", 1234, 80, 6)
+    assert (dotted.packets, mapped.packets) == (1, 2)
+    assert (dotted.flags, mapped.flags) == (TCP_ACK, TCP_SYN | TCP_ACK)
+
+
+@pytest.mark.parametrize("timeouts", [(300, 2000), (None, None)], ids=["finite", "disabled"])
+@pytest.mark.parametrize("mode", ["aggregate", MODE_PER_PACKET])
+def test_keyed_stream_flows_match_packet_record_flows(tmp_path, mode, timeouts):
+    # build_flows over a reader aggregates its keyed stream, over a list of
+    # PacketRecords their text 5-tuples; both must give the reference's flows
+    rng = random.Random(f"keyed-{mode}-{timeouts}")
+    random_trace, _ = pc.random_trace(rng, 2000, n_hosts=4, n_ports=2, arp_every=13)
+    frames = differential_frames() + frames_of(random_trace)
+    rng.shuffle(frames)
+    ts = 1_530_453_600_000
+    records = []
+    for frame in frames:
+        ts += rng.randrange(0, 200)
+        records.append((*pc.ms_to_sec_us(ts), frame))
+    path = write(tmp_path, pc.pcap(records))
+    idle, active = timeouts
+    cfg = AggregationConfig(mode=mode, idle_timeout_ms=idle, active_timeout_ms=active)
+    with open_capture(path) as reader:
+        packets = list(reader)
+    want, out_of_order, peak = reference_flows(packets, cfg)
+    assert out_of_order == 0
+    for source in (lambda reader: reader, list):
+        counters = {}
+        with open_capture(path) as reader:
+            got = [as_tuple(flow) for flow in build_flows(source(reader), cfg, counters)]
+        assert got == want
+        assert counters["peak_live_flows"] == peak
+        assert "out_of_order" not in counters
 
 
 # ---------------------------------------------------------------------------
