@@ -14,7 +14,6 @@ output, -n window seconds, --sec for seconds rendering).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -118,6 +117,7 @@ def _write_stats_lines(path, lines):
     them to a staged path before any output is renamed into place, so a
     failed stats write leaves no data output."""
     if path:
+        import json   # only --stats runs need it
         with open_text_write(path) as fh:
             for obj in lines:
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -20,12 +20,13 @@ subset lies inside it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .flow_builder import FlowKey, FlowRecord
 from .mawilab_log import IdsLogEntry
+
+if TYPE_CHECKING:   # annotations only: labeling never loads the aggregator
+    from .flow_builder import FlowKey, FlowRecord
 
 CLASS_NORMAL = "normal"
 CLASS_ANOMALY = "anomaly"
@@ -65,11 +66,23 @@ class LabeledFlow(NamedTuple):
     mawilab_label: str = CLASS_NORMAL
 
 
-@dataclass
 class LabelStats:
     """Flows counted per winner (None = no match); the class, taxonomy and
     L counts are derived from those counts."""
-    winners: Counter = field(default_factory=Counter)
+
+    def __init__(self, winners: Counter | None = None):
+        self.winners = Counter() if winners is None else winners
+
+    # equal and printed by `winners`; unhashable, since `winners` changes
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.winners == other.winners
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(winners={self.winners!r})"
 
     @property
     def rows(self) -> int:

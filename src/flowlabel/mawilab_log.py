@@ -22,7 +22,6 @@ fault a row holds is the one raised.
 from __future__ import annotations
 
 import csv
-import ipaddress
 import socket
 from operator import itemgetter
 from typing import NamedTuple
@@ -82,6 +81,7 @@ def _parse_ip(cell: str, row_num: int, col: str) -> str:
         return socket.inet_ntop(family, socket.inet_pton(family, text))
     except (OSError, ValueError):
         pass
+    import ipaddress   # loaded only for the rare cell inet_pton rejects
     try:
         return str(ipaddress.ip_address(text))
     except ValueError as exc:

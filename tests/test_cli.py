@@ -11,7 +11,6 @@ import re
 import stat
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -645,14 +644,16 @@ def test_failed_stats_write_leaves_no_stats_file(tmp_path, capsys, monkeypatch):
     flows = tmp_path / "flows.csv"
     assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
     dumped = []
+    dumps = json.dumps
 
     def dumps_last_fails(obj, **kwargs):
         dumped.append(obj)
         if len(dumped) == last:
             raise OSError(28, "No space left on device")
-        return json.dumps(obj, **kwargs)
+        return dumps(obj, **kwargs)
 
-    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps_last_fails))
+    # the CLI imports json only when it writes --stats
+    monkeypatch.setattr(json, "dumps", dumps_last_fails)
     for argv, last in [(["extract", "-i", str(pcap)], 1),
                        (["label", "-i", str(flows), "-c", str(log)], 4),
                        (["pipeline", "-i", str(pcap), "-c", str(log), "-n", "30"], 5)]:

@@ -202,6 +202,19 @@ def test_label_stats():
     assert stats.l_histogram == {1: 2, 2: 1, 0: 1}
 
 
+def test_label_stats_value_semantics():
+    # constructor, equality, repr and hashing as of a dataclass with one field
+    counts = Counter({None: 2, make_entry(sport=443): 1})
+    assert LabelStats().winners == Counter() and LabelStats().winners is not LabelStats().winners
+    assert LabelStats(counts).winners is counts
+    assert LabelStats(counts) == LabelStats(winners=Counter(counts))
+    assert LabelStats(counts) != LabelStats()
+    assert LabelStats() != Counter() and LabelStats().__eq__(Counter()) is NotImplemented
+    assert repr(LabelStats(Counter({None: 3}))) == "LabelStats(winners=Counter({None: 3}))"
+    with pytest.raises(TypeError):
+        hash(LabelStats())
+
+
 def random_entries(rng, n, ips, ports):
     entries = []
     for _ in range(n):
