@@ -6,10 +6,11 @@ identical inputs produce byte-identical outputs, on a worker thread so
 that deflate overlaps the caller's work.
 
 Every output is staged: written under its final name in a hidden
-`.<name>.XXXXXXXX.tmp/` directory beside it, renamed out only once it is
-complete, and the directory is removed with whatever it still holds when
-the write ends, so a failed run leaves no partial output.  Files that
-open() creates there get the mode of any new file (0o666 & ~umask).
+`.<name>.XXXXXXXX.tmp/` directory beside the file it names, through any
+link, renamed out only once it is complete, and the directory is removed
+with whatever it still holds when the write ends, so a failed run leaves
+no partial output.  Files that open() creates there get the mode of any
+new file (0o666 & ~umask).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import csv
 import gzip
 import io
 import os
-import shutil
 import stat
 import tempfile
 import threading
@@ -26,7 +26,7 @@ import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import AllNullTupleError, InputFormatError, MalformedRowError
+from .errors import InputFormatError
 
 # Text bytes gathered before a chunk goes to the compressing thread.
 _GZIP_CHUNK = 256 * 1024
@@ -83,14 +83,10 @@ def open_binary_read(path):
 def open_text_read(path):
     """Text stream of the file, gunzipped if need be; a context manager.
     A damaged gzip stream, bytes that are not UTF-8, and text that a csv
-    reader of the stream refuses raise InputFormatError naming the file; a
-    row error raised in the block gets the file's name put before its
-    message."""
+    reader of the stream refuses raise InputFormatError naming the file."""
     with io.TextIOWrapper(open_binary_read(path), encoding="utf-8", newline="") as fh:
         try:
             yield fh
-        except (MalformedRowError, AllNullTupleError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputFormatError(
                 f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
@@ -152,39 +148,39 @@ class _GzipOnThread(io.RawIOBase):
 
 
 def written_in_place(path) -> bool:
-    """Whether `path` is written in place: it is a FIFO, device or symlink
-    (/dev/stdout), which a rename would replace rather than write."""
-    return os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+    """Whether `path` is written in place: it is, or links to, a FIFO or
+    device (/dev/stdout on a tty or pipe), which a rename would replace
+    rather than write."""
+    return os.path.exists(path) and not stat.S_ISREG(os.stat(path).st_mode)
 
 
-@contextmanager
 def staging_dir(path):
     """A new hidden directory `.<name>.XXXXXXXX.tmp` beside `path`, in which
-    to write the files meant for the directory of `path`; it is removed,
-    with whatever it still holds, when the block ends."""
+    to write the files meant for the directory of `path`; a context
+    manager, which removes it with whatever it still holds when the block
+    ends."""
     directory, name = os.path.split(os.fspath(path))
-    tmpdir = tempfile.mkdtemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
-    try:
-        yield tmpdir
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+    return tempfile.TemporaryDirectory(suffix=".tmp", prefix=f".{name}.", dir=directory or ".",
+                                       ignore_cleanup_errors=True)
 
 
 @contextmanager
 def staged_path(path):
     """The path at which to write the file meant for `path`: the same name
-    in a staging directory beside it, renamed over `path` when the block
-    ends without error, so names derived from it hold and a failed block
-    leaves `path` as it was.  A path written in place is given as is, and
-    so is no path (None or "")."""
+    in a staging directory beside the file `path` is or links to, renamed
+    over that file when the block ends without error, so names derived
+    from it hold, a link is kept, and a failed block leaves the file as it
+    was.  A path written in place is given as is, and so is no path (None
+    or "")."""
     path = path and os.fspath(path)
     if not path or written_in_place(path):
         yield path
         return
-    with staging_dir(path) as tmpdir:
+    target = os.path.realpath(path)
+    with staging_dir(target) as tmpdir:
         staged = os.path.join(tmpdir, os.path.basename(path))
         yield staged
-        os.replace(staged, path)
+        os.replace(staged, target)
 
 
 @contextmanager

@@ -73,7 +73,7 @@ def flags_to_string(bits: int) -> str:
     return _FLAG_STRINGS[bits & 0xFF]
 
 
-def flags_from_string(text: str, row_num: int | None = None) -> int:
+def flags_from_string(text: str) -> int:
     bits = _STRING_FLAGS.get(text)
     if bits is not None:
         return bits
@@ -83,8 +83,7 @@ def flags_from_string(text: str, row_num: int | None = None) -> int:
             continue
         bit = _LETTER_BITS.get(ch)
         if bit is None:
-            where = f"row {row_num}: " if row_num is not None else ""
-            raise MalformedRowError(f"{where}bad flag letter {ch!r} in {text!r}")
+            raise MalformedRowError(f"bad flag letter {ch!r} in {text!r}")
         bits |= bit
     return bits
 
@@ -104,21 +103,21 @@ def _time_renderer(unit: str):
     raise ValueError(f"unknown time unit {unit!r}")
 
 
-def _parse_time(cell: str, row_num: int) -> int:
+def _parse_time(cell: str) -> int:
     cell = cell.strip()
     try:
         if "." in cell:
             return round(float(cell) * 1000)
         return int(cell)
     except (ValueError, OverflowError) as exc:   # OverflowError: 1e999 is inf ms
-        raise MalformedRowError(f"row {row_num}: bad time value {cell!r}") from exc
+        raise MalformedRowError(f"bad time value {cell!r}") from exc
 
 
-def _int(cell: str, row_num: int, col: str) -> int:
+def _int(cell: str, col: str) -> int:
     try:
         return int(cell)
     except ValueError as exc:
-        raise MalformedRowError(f"row {row_num}: bad integer in {col}: {cell!r}") from exc
+        raise MalformedRowError(f"bad integer in {col}: {cell!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,52 +148,52 @@ def _label_fields(labeled: LabeledFlow) -> tuple:
 _INT_COLUMNS = ((2, "sPort"), (3, "dPort"), (4, "proto"), (5, "packets"), (6, "bytes"))
 
 
-def _parse_traffic(row: list[str], row_num: int) -> FlowRecord:
+def _parse_traffic(row: list[str]) -> FlowRecord:
     try:
         sport, dport, proto, packets, nbytes = (
             int(row[2]), int(row[3]), int(row[4]), int(row[5]), int(row[6]))
     except ValueError:
         for col, name in _INT_COLUMNS:   # raises for the first bad column
-            _int(row[col], row_num, name)
+            _int(row[col], name)
         raise
     # cells are parsed in column order, so a row with several bad cells
     # reports the first of them
-    flags = flags_from_string(row[7], row_num)
-    stime = _parse_time(row[8], row_num)
+    flags = flags_from_string(row[7])
+    stime = _parse_time(row[8])
     # row[9] is durat, derived from sTime/eTime; not read back
-    etime = _parse_time(row[10], row_num)
-    icmp_type = None if row[17] == "" else _int(row[17], row_num, "iType")
-    icmp_code = None if row[18] == "" else _int(row[18], row_num, "iCode")
+    etime = _parse_time(row[10])
+    icmp_type = None if row[17] == "" else _int(row[17], "iType")
+    icmp_code = None if row[18] == "" else _int(row[18], "iCode")
     return FlowRecord(
         FlowKey(row[0], row[1], sport, dport, proto),
         packets, nbytes, flags,
-        flags_from_string(row[19], row_num),   # initial_flags
-        flags_from_string(row[20], row_num),   # session_flags
+        flags_from_string(row[19]),            # initial_flags
+        flags_from_string(row[20]),            # session_flags
         stime, etime, icmp_type, icmp_code,
         *row[11:17],   # sensor, input_if, output_if, next_hop, sensor_class, flow_type
         row[21], row[22],                      # attributes, application
     )
 
 
-def _parse_labeled(row: list[str], row_num: int) -> LabeledFlow:
-    flow = _parse_traffic(row, row_num)
+def _parse_labeled(row: list[str]) -> LabeledFlow:
+    flow = _parse_traffic(row)
     class_label = row[23]
     if class_label not in _CLASSES:
-        raise MalformedRowError(f"row {row_num}: bad class {class_label!r}")
+        raise MalformedRowError(f"bad class {class_label!r}")
     if class_label == CLASS_NORMAL:
         return LabeledFlow(flow=flow, class_label=CLASS_NORMAL)
     try:
         distance = float(row[27])
     except ValueError as exc:
-        raise MalformedRowError(f"row {row_num}: bad distance {row[27]!r}") from exc
+        raise MalformedRowError(f"bad distance {row[27]!r}") from exc
     return LabeledFlow(
         flow=flow,
         class_label=class_label,
         taxonomy=row[24],
         mawilab_label=row[25],
-        heuristic=_int(row[26], row_num, "heuristic"),
+        heuristic=_int(row[26], "heuristic"),
         distance=distance,
-        nb_detectors=_int(row[28], row_num, "nbDetectors"),
+        nb_detectors=_int(row[28], "nbDetectors"),
     )
 
 
@@ -231,7 +230,7 @@ class _TrafficLine(NamedTuple):
     tail: str        # cells 11-22
 
 
-def _traffic_line(line: str, row_num: int) -> _TrafficLine | None:
+def _traffic_line(line: str) -> _TrafficLine | None:
     match = _VERBATIM_TRAFFIC(line)
     if match is None:
         return None
@@ -240,17 +239,17 @@ def _traffic_line(line: str, row_num: int) -> _TrafficLine | None:
     return _new(_TrafficLine, (key, head, int(stime), int(etime), tail))
 
 
-def _window_line(line: str, row_num: int):
+def _window_line(line: str):
     """(sTime, line) for a labeled line that csv would read as its text
     split on commas into 29 cells and write back unchanged; else None."""
     if ('"' in line or "\r" in line or "\x00" in line or line[-1:] != "\n"
             or line.count(",") != len(OUTPUT_COLUMNS) - 1):
         return None
-    return _parse_time(line.split(",", _STIME_COL + 1)[_STIME_COL], row_num), line
+    return _parse_time(line.split(",", _STIME_COL + 1)[_STIME_COL]), line
 
 
-def _window_row(row: list[str], row_num: int):
-    return _parse_time(row[_STIME_COL], row_num), _line(row)
+def _window_row(row: list[str]):
+    return _parse_time(row[_STIME_COL]), _line(row)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +269,16 @@ def _write_csv(lines, path, columns) -> int:
 
 
 def _read_csv(path, columns, parse, parse_line=None):
-    """parse(cells, row_num) of each data record of the CSV file at `path`,
-    whose header must be `columns`; blank records are skipped.
+    """parse(cells) of each data record of the CSV file at `path`, whose
+    header must be `columns`; blank records are skipped.
 
     With `parse_line`, each line is first offered whole to
-    parse_line(line, row_num), and a value other than None stands for its
-    record.  The first line it refuses, or that is over the csv field
-    limit, and all the lines after it go through csv, as every line does
-    without `parse_line`: a file not in the writer's form pays one refused
-    line, and records are numbered and fail alike either way.  The parsing
-    runs in the open_text_read block, so its row errors name the file."""
+    parse_line(line), and a value other than None stands for its record.
+    The first line it refuses, or that is over the csv field limit, and all
+    the lines after it go through csv, as every line does without
+    `parse_line`: a file not in the writer's form pays one refused line,
+    and records are numbered and fail alike either way.  A row fault is
+    raised again with the file and the row put before its message."""
     with open_text_read(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -292,25 +291,26 @@ def _read_csv(path, columns, parse, parse_line=None):
             )
         width = len(columns)
         row_num = 2   # of the next record
-        if parse_line is not None:
-            limit = csv.field_size_limit()
-            for row_num, line in enumerate(fh, start=2):
-                value = parse_line(line, row_num) if len(line) <= limit else None
-                if value is None:
-                    # a new reader starts at a record boundary, as this line does
-                    reader = csv.reader(chain((line,), fh))
-                    break
-                yield value
-            else:
-                return
-        for row_num, row in enumerate(reader, start=row_num):
-            if not row:
-                continue
-            if len(row) != width:
-                raise MalformedRowError(
-                    f"row {row_num}: {len(row)} cells, expected {width}"
-                )
-            yield parse(row, row_num)
+        try:
+            if parse_line is not None:
+                limit = csv.field_size_limit()
+                for row_num, line in enumerate(fh, start=2):
+                    value = parse_line(line) if len(line) <= limit else None
+                    if value is None:
+                        # a new reader starts at a record boundary, as this line does
+                        reader = csv.reader(chain((line,), fh))
+                        break
+                    yield value
+                else:
+                    return
+            for row_num, row in enumerate(reader, start=row_num):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise MalformedRowError(f"{len(row)} cells, expected {width}")
+                yield parse(row)
+        except MalformedRowError as exc:
+            raise MalformedRowError(f"{path}: row {row_num}: {exc}") from None
 
 
 # Rendered label suffixes kept at once; past that the cache starts afresh,

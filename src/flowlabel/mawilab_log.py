@@ -70,7 +70,7 @@ def _is_null(cell: str) -> bool:
     return cell == "" or cell.lower() == "null"
 
 
-def _parse_ip(cell: str, row_num: int, col: str) -> str:
+def _parse_ip(cell: str, col: str) -> str:
     """The address as the pcap decoder prints it (inet_ntop), so that
     IPv4-mapped and IPv4-compatible IPv6 addresses come out dotted.  A cell
     inet_pton rejects, such as one with a %scope suffix, goes through
@@ -85,10 +85,10 @@ def _parse_ip(cell: str, row_num: int, col: str) -> str:
     try:
         return str(ipaddress.ip_address(text))
     except ValueError as exc:
-        raise MalformedRowError(f"row {row_num}: bad IP in {col}: {cell!r}") from exc
+        raise MalformedRowError(f"bad IP in {col}: {cell!r}") from exc
 
 
-def _port(cell: str, row_num: int, col: str) -> int | None:
+def _port(cell: str, col: str) -> int | None:
     """The port in a cell that is not a common null spelling, or None for
     another spelling of null."""
     try:
@@ -96,18 +96,18 @@ def _port(cell: str, row_num: int, col: str) -> int | None:
     except ValueError as exc:
         if _is_null(cell):
             return None
-        raise MalformedRowError(f"row {row_num}: bad port in {col}: {cell!r}") from exc
+        raise MalformedRowError(f"bad port in {col}: {cell!r}") from exc
     if not 0 <= port <= 65535:
-        raise MalformedRowError(f"row {row_num}: port out of range in {col}: {port}")
+        raise MalformedRowError(f"port out of range in {col}: {port}")
     return port
 
 
-def _address(cell: str, row_num: int, col: str, known: dict) -> str | None:
+def _address(cell: str, col: str, known: dict) -> str | None:
     """The address in an IP cell that is not a common null spelling, or
     None for a null; an address is remembered in `known` under its cell."""
     if _is_null(cell):
         return None
-    text = known[cell] = _parse_ip(cell, row_num, col)
+    text = known[cell] = _parse_ip(cell, col)
     return text
 
 
@@ -144,49 +144,52 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
         width = len(header)
         cells = itemgetter(*[cols[name] for name in _REQUIRED])
 
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < width:
-                raise MalformedRowError(f"row {row_num}: {len(row)} cells, header has {width}")
-            (sip_cell, sport_cell, dip_cell, dport_cell, taxonomy, heuristic_cell,
-             distance_cell, nb_detectors_cell, label) = cells(row)
-            if label not in accepted:
-                label = label.strip().lower()
-                if label not in accepted:
-                    skipped += 1
+        try:
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
                     continue
-            if sip_cell in nulls:
-                sip = None
-            else:
-                sip = addresses.get(sip_cell)
-                if sip is None:
-                    sip = _address(sip_cell, row_num, "sip", addresses)
-            if dip_cell in nulls:
-                dip = None
-            else:
-                dip = addresses.get(dip_cell)
-                if dip is None:
-                    dip = _address(dip_cell, row_num, "dip", addresses)
-            sport = None if sport_cell in nulls else _port(sport_cell, row_num, "sport")
-            dport = None if dport_cell in nulls else _port(dport_cell, row_num, "dport")
-            if sip is None and dip is None and sport is None and dport is None:
-                raise AllNullTupleError(f"row {row_num}: all four flow attributes are null")
-            try:
-                heuristic = int(heuristic_cell.strip())
-                distance = float(distance_cell.strip())
-                nb_detectors = int(nb_detectors_cell.strip())
-            except ValueError as exc:
-                raise MalformedRowError(f"row {row_num}: bad numeric field: {exc}") from exc
-            if nb_detectors < 0:
-                raise MalformedRowError(f"row {row_num}: negative nbDetectors")
-            append(new_entry(IdsLogEntry, (
-                sip, dip, sport, dport,
-                strings.setdefault(taxonomy, taxonomy),
-                heuristic, distance, nb_detectors,
-                strings.setdefault(label, label),
-                len(entries),
-            )))
+                if len(row) < width:
+                    raise MalformedRowError(f"{len(row)} cells, header has {width}")
+                (sip_cell, sport_cell, dip_cell, dport_cell, taxonomy, heuristic_cell,
+                 distance_cell, nb_detectors_cell, label) = cells(row)
+                if label not in accepted:
+                    label = label.strip().lower()
+                    if label not in accepted:
+                        skipped += 1
+                        continue
+                if sip_cell in nulls:
+                    sip = None
+                else:
+                    sip = addresses.get(sip_cell)
+                    if sip is None:
+                        sip = _address(sip_cell, "sip", addresses)
+                if dip_cell in nulls:
+                    dip = None
+                else:
+                    dip = addresses.get(dip_cell)
+                    if dip is None:
+                        dip = _address(dip_cell, "dip", addresses)
+                sport = None if sport_cell in nulls else _port(sport_cell, "sport")
+                dport = None if dport_cell in nulls else _port(dport_cell, "dport")
+                if sip is None and dip is None and sport is None and dport is None:
+                    raise AllNullTupleError("all four flow attributes are null")
+                try:
+                    heuristic = int(heuristic_cell.strip())
+                    distance = float(distance_cell.strip())
+                    nb_detectors = int(nb_detectors_cell.strip())
+                except ValueError as exc:
+                    raise MalformedRowError(f"bad numeric field: {exc}") from exc
+                if nb_detectors < 0:
+                    raise MalformedRowError("negative nbDetectors")
+                append(new_entry(IdsLogEntry, (
+                    sip, dip, sport, dport,
+                    strings.setdefault(taxonomy, taxonomy),
+                    heuristic, distance, nb_detectors,
+                    strings.setdefault(label, label),
+                    len(entries),
+                )))
+        except (MalformedRowError, AllNullTupleError) as exc:
+            raise type(exc)(f"{path}: row {row_num}: {exc}") from None
     if counters is not None:
         counters["skipped_label"] = counters.get("skipped_label", 0) + skipped
     return entries

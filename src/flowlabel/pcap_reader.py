@@ -140,7 +140,6 @@ class CaptureReader:
         self.skip_reasons = Counter()
         self._read_error = None   # a failed stream read, held back (see _fill)
         self._stream = None    # the keyed packet stream
-        self._packets = None   # the same, rendered as PacketRecords
 
     @property
     def decoded(self) -> int:
@@ -228,11 +227,8 @@ class CaptureReader:
             InputFormatError)
 
     def __iter__(self):
-        # one stream per reader, so a second iter() resumes it
-        if self._packets is None:
-            self._packets = (PacketRecord(ts_ms, *render(key), *rest)
-                             for ts_ms, key, *rest in self._keyed())
-        return self._packets
+        # each iterator draws on the one keyed stream, so a second iter() resumes it
+        return (PacketRecord(ts_ms, *render(key), *rest) for ts_ms, key, *rest in self._keyed())
 
     def _keyed(self):
         """The keyed packet stream (see the module docstring)."""

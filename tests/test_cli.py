@@ -686,6 +686,56 @@ def test_pipeline_split_into_fifo_is_usage_error(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([pcap.name, log.name, fifo.name])
 
 
+def test_output_through_a_link_replaces_its_target(tmp_path, capsys, new_file_mode):
+    # the output is staged beside the file the link names, so a failed run
+    # leaves that file as it was and one that succeeds replaces it; the
+    # link is kept either way
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+    short = tmp_path / "short.csv"
+    short.write_text(flows.read_text() + "192.0.2.1,198.51.100.5\n")
+    real = tmp_path / "elsewhere" / "real.csv"
+    real.parent.mkdir()
+    real.write_text("earlier run\n")
+    real.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert run("label", "-i", str(short), "-c", str(log), "-o", str(link), "--quiet") == 2
+    rows = len(flows.read_text().splitlines())
+    assert capsys.readouterr().err == f"flowlabel: {short}: row {rows + 1}: 2 cells, expected 23\n"
+    assert real.read_text() == "earlier run\n"
+    assert run("label", "-i", str(flows), "-c", str(log), "-o", str(link), "--quiet") == 0
+    assert run("label", "-i", str(flows), "-c", str(log), "-o", str(tmp_path / "plain.csv"),
+               "--quiet") == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert stat.S_IMODE(real.stat().st_mode) == new_file_mode
+    assert list(real.parent.iterdir()) == [real]
+
+
+def test_pipeline_split_through_a_link(tmp_path):
+    # the labeled CSV lands in the file the link names; the window files
+    # take the link's name, in the link's directory
+    pcap = small_pcap(tmp_path, name="20180701.pcap")   # three 30 s windows
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    real = tmp_path / "real.csv"
+    real.write_text("")
+    made = {}
+    for kind in ["link", "plain"]:
+        out = tmp_path / kind
+        out.mkdir()
+        if kind == "link":
+            (out / "labeled.csv").symlink_to(real)
+        assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out / "labeled.csv"),
+                   "-n", "5", "--quiet") == 0
+        made[kind] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert (tmp_path / "link" / "labeled.csv").is_symlink()
+    assert made["link"] == made["plain"]
+    assert len(made["plain"]) > 2 and real.read_bytes() == made["plain"]["labeled.csv"]
+
+
 @pytest.mark.parametrize("damaged", ["flows", "log", "labeled"])
 def test_cell_over_csv_field_limit_is_format_error(tmp_path, capsys, damaged):
     # the csv module refuses a cell over its 128 KiB field limit

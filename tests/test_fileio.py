@@ -7,6 +7,7 @@ from __future__ import annotations
 import gc
 import gzip
 import io
+import os
 import random
 import stat
 import sys
@@ -79,6 +80,19 @@ def test_output_gets_new_file_mode(tmp_path, new_file_mode, name):
     with open_text_write(path) as fh:
         fh.write("sIP,dIP,sPort\n")
     assert stat.S_IMODE(path.stat().st_mode) == new_file_mode
+
+
+def test_link_to_a_fifo_is_written_in_place(tmp_path):
+    # a rename would put a file where the link is; writing through it
+    # reaches the FIFO's reader
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    link = tmp_path / "link.csv"
+    link.symlink_to(fifo)
+    assert _fileio.written_in_place(link)
+    with _fileio.staged_path(link) as staged:
+        assert staged == str(link)
+    assert link.is_symlink()
 
 
 def test_plain_output_starts_no_thread(tmp_path, counted_threads):

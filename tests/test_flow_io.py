@@ -147,7 +147,7 @@ def test_millisecond_rendering_is_integer(tmp_path):
        ms=st.integers(min_value=-2**50, max_value=2**50))
 def test_time_render_parse_round_trip(unit, ms):
     cell = str(flow_io._time_renderer(unit)(ms))   # csv.writer renders with str()
-    assert flow_io._parse_time(cell, 2) == ms
+    assert flow_io._parse_time(cell) == ms
 
 
 # float() reads these as +-inf ms, which round() cannot make an int
@@ -157,15 +157,16 @@ OVERFLOWING_TIMES = ["1.0e999", "-1.0e999"]
 @settings(max_examples=300, deadline=None)
 @given(cell=st.one_of(
            st.text(),
-           st.from_regex(r"\s*[-+]?\d{1,400}(\.\d*)?([eE][-+]?\d{1,4})?\s*", fullmatch=True)),
-       row_num=st.integers(min_value=2, max_value=10**9))
-@example(cell=OVERFLOWING_TIMES[0], row_num=2)
-@example(cell=OVERFLOWING_TIMES[1], row_num=2)
-def test_time_cell_parses_or_names_its_row(cell, row_num):
+           st.from_regex(r"\s*[-+]?\d{1,400}(\.\d*)?([eE][-+]?\d{1,4})?\s*", fullmatch=True)))
+@example(cell=OVERFLOWING_TIMES[0])
+@example(cell=OVERFLOWING_TIMES[1])
+def test_time_cell_parses_or_names_its_row(cell):
+    # the reader that counts the rows puts the file and the row before the
+    # fault (see test_overflowing_time_is_malformed_row and test_row_faults)
     try:
-        ms = flow_io._parse_time(cell, row_num)
+        ms = flow_io._parse_time(cell)
     except MalformedRowError as exc:
-        assert str(exc) == f"row {row_num}: bad time value {cell.strip()!r}"
+        assert str(exc) == f"bad time value {cell.strip()!r}"
     else:
         assert type(ms) is int
 

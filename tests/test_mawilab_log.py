@@ -232,7 +232,7 @@ def test_address_strings_shared(tmp_path):
     ("fe80::1%eth0", "fe80::1%eth0"),
 ])
 def test_addresses_print_like_the_decoder(cell, text):
-    assert _parse_ip(cell, 2, "sip") == text
+    assert _parse_ip(cell, "sip") == text
 
 
 _V6_PREFIXES = (None, [0] * 6, [0] * 5 + [0xFFFF])   # any, ::/96, ::ffff:0:0/96
@@ -259,7 +259,7 @@ def test_parse_ip_prints_as_inet_ntop():
         ip = ipaddress.ip_address(packed)
         text = socket.inet_ntop(family, packed)
         for spelling in (text, str(ip), ip.exploded, ip.exploded.upper(), f" {text}\t"):
-            assert _parse_ip(spelling, 2, "dip") == text
+            assert _parse_ip(spelling, "dip") == text
 
 
 def _random_cell(rng):
@@ -295,13 +295,13 @@ def test_parse_ip_accepts_what_ipaddress_accepts():
             ip = ipaddress.ip_address(cell.strip())
         except ValueError:
             with pytest.raises(MalformedRowError):
-                _parse_ip(cell, 2, "sip")
+                _parse_ip(cell, "sip")
             continue
         accepted += 1
         family = socket.AF_INET if ip.version == 4 else socket.AF_INET6
         scoped = getattr(ip, "scope_id", None)
         expected = str(ip) if scoped else socket.inet_ntop(family, ip.packed)
-        assert _parse_ip(cell, 2, "sip") == expected
+        assert _parse_ip(cell, "sip") == expected
     assert 5_000 < accepted < 25_000    # both outcomes well drawn
 
 
@@ -358,7 +358,10 @@ def _reference_rows(path, accepted_labels, counters):
                 if _reference_null(cell):
                     tuple4[col] = None
                 elif col in ("sip", "dip"):
-                    tuple4[col] = _parse_ip(cell, row_num, col)
+                    try:
+                        tuple4[col] = _parse_ip(cell, col)
+                    except MalformedRowError as exc:
+                        raise MalformedRowError(f"row {row_num}: {exc}") from exc
                 else:
                     tuple4[col] = _reference_port(cell, row_num, col)
             if all(v is None for v in tuple4.values()):

@@ -165,7 +165,7 @@ def test_verbatim_label_equals_parsed_label(tmp_path, index, text, unit):
 
 
 def _split(path, outdir, window, verbatim):
-    refuse = mock.patch.object(flow_io, "_window_line", lambda line, row_num: None)
+    refuse = mock.patch.object(flow_io, "_window_line", lambda line: None)
     with contextlib.nullcontext() if verbatim else refuse:
         created = split_by_window(path, window, outdir)
     return [(p.name, p.read_bytes()) for p in created]
