@@ -19,7 +19,6 @@ import csv
 import gzip
 import io
 import os
-import stat
 import tempfile
 import threading
 import zlib
@@ -151,7 +150,7 @@ def written_in_place(path) -> bool:
     """Whether `path` is written in place: it is, or links to, a FIFO or
     device (/dev/stdout on a tty or pipe), which a rename would replace
     rather than write."""
-    return os.path.exists(path) and not stat.S_ISREG(os.stat(path).st_mode)
+    return os.path.exists(path) and not os.path.isfile(path)
 
 
 def staging_dir(path):
@@ -164,21 +163,28 @@ def staging_dir(path):
                                        ignore_cleanup_errors=True)
 
 
+class _Staged(str):
+    """A path staged_path() gave: its file is in a new directory of its
+    own, removed with it if the write fails, so it is written in place."""
+
+    __slots__ = ()
+
+
 @contextmanager
 def staged_path(path):
     """The path at which to write the file meant for `path`: the same name
     in a staging directory beside the file `path` is or links to, renamed
     over that file when the block ends without error, so names derived
     from it hold, a link is kept, and a failed block leaves the file as it
-    was.  A path written in place is given as is, and so is no path (None
-    or "")."""
+    was.  A path written in place is given as is, and so are a path that
+    staged_path() gave and no path (None or "")."""
     path = path and os.fspath(path)
-    if not path or written_in_place(path):
+    if not path or isinstance(path, _Staged) or written_in_place(path):
         yield path
         return
     target = os.path.realpath(path)
     with staging_dir(target) as tmpdir:
-        staged = os.path.join(tmpdir, os.path.basename(path))
+        staged = _Staged(os.path.join(tmpdir, os.path.basename(path)))
         yield staged
         os.replace(staged, target)
 
@@ -186,7 +192,8 @@ def staged_path(path):
 @contextmanager
 def open_text_write(path):
     """Text stream writing `path` at the path staged_path() gives, gzipped
-    when the name ends in .gz; a failed block leaves no partial output."""
+    when the name ends in .gz; a failed block leaves no partial output.  A
+    path that staged_path() gave is written in place."""
     with staged_path(path) as staged, open(staged, "wb") as raw:
         stream = raw
         if staged.endswith(".gz"):

@@ -21,12 +21,11 @@ import csv
 import os
 import re
 import types
-from collections import OrderedDict
 from itertools import chain
 from math import copysign, isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import NamedTuple
 
 from ._fileio import file_stem, open_text_read, open_text_write, staging_dir
 from .errors import MalformedRowError, SchemaMismatchError
@@ -284,11 +283,15 @@ def _read_csv(path, columns, parse, parse_line=None):
         header = next(reader, None)
         if header is None:
             raise SchemaMismatchError(f"{path}: empty file, expected a header row")
-        if header != list(columns):
+        if len(header) != len(columns):
             raise SchemaMismatchError(
                 f"{path}: header has {len(header)} columns, expected the "
                 f"{len(columns)}-column schema starting {columns[0]},{columns[1]},..."
             )
+        for n, (got, want) in enumerate(zip(header, columns), start=1):
+            if got != want:
+                raise SchemaMismatchError(
+                    f"{path}: header column {n} is {got!r}, expected {want!r}")
         width = len(columns)
         row_num = 2   # of the next record
         try:
@@ -372,56 +375,7 @@ def read_traffic(path, *, verbatim: bool = False):
 # ---------------------------------------------------------------------------
 # time-window splitter
 
-_MAX_OPEN_WINDOWS = 64
-
-
-class _WindowWriters:
-    """Files per window, at most _MAX_OPEN_WINDOWS open at once so
-    huge window counts cannot exhaust file descriptors.  Each window file
-    is written under its own name in a staging directory; finish() moves
-    them all out once the last row is in."""
-
-    def __init__(self, staging: str, stem: str):
-        self.staging = staging
-        self.stem = stem
-        self.windows: set[int] = set()
-        self.open: OrderedDict[int, TextIO] = OrderedDict()
-
-    def row(self, window: int, line: str):
-        """Write `line`, one rendered row, to `window`."""
-        fh = self.open.get(window)
-        if fh is None:
-            first = window not in self.windows
-            fh = self.open[window] = open(os.path.join(self.staging, self._name(window)),
-                                          "w" if first else "a", encoding="utf-8", newline="")
-            if first:
-                self.windows.add(window)
-                fh.write(_line(OUTPUT_COLUMNS))
-            if len(self.open) > _MAX_OPEN_WINDOWS:
-                self.open.popitem(last=False)[1].close()
-        else:
-            self.open.move_to_end(window)
-        fh.write(line)
-
-    def _name(self, window: int) -> str:
-        return f"{self.stem}_w{window:04d}.csv"
-
-    def close(self, quiet: bool = False):
-        """Close the open files; `quiet` ignores their errors, which would
-        hide the one that made the split fail."""
-        while self.open:
-            _window, fh = self.open.popitem(last=False)
-            with contextlib.suppress(OSError if quiet else ()):
-                fh.close()
-
-    def finish(self, outdir: Path) -> list[Path]:
-        """Close the files and move each to `outdir`; returns the window
-        files in window order."""
-        self.close()
-        paths = [outdir / self._name(window) for window in sorted(self.windows)]
-        for path in paths:
-            os.replace(os.path.join(self.staging, path.name), path)
-        return paths
+_MAX_OPEN_WINDOWS = 64   # open window files, so any window count fits the fd limit
 
 
 def window_to_ms(window_s: float) -> int:
@@ -454,12 +408,35 @@ def split_by_window(input_path, window_s: float, outdir, *,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = file_stem(input_path)
+    # window -> its file name, and window -> its open file, least recently
+    # written first: past _MAX_OPEN_WINDOWS that one is closed, to reopen to append
+    names, files = {}, {}
     with staging_dir(outdir / stem) as staging:
-        writers = _WindowWriters(staging, stem)
         try:
-            for stime, row in _read_csv(input_path, OUTPUT_COLUMNS, _window_row, _window_line):
-                writers.row((stime - min_stime) // window_ms, row)
+            for stime, line in _read_csv(input_path, OUTPUT_COLUMNS, _window_row, _window_line):
+                window = (stime - min_stime) // window_ms
+                fh = files.pop(window, None)
+                if fh is None:
+                    first = window not in names
+                    name = names[window] = f"{stem}_w{window:04d}.csv"
+                    fh = files[window] = open(os.path.join(staging, name),
+                                              "w" if first else "a", encoding="utf-8", newline="")
+                    if first:
+                        fh.write(_line(OUTPUT_COLUMNS))
+                    if len(files) > _MAX_OPEN_WINDOWS:
+                        files.pop(next(iter(files))).close()
+                else:
+                    files[window] = fh
+                fh.write(line)
+            for fh in files.values():
+                fh.close()
         except BaseException:
-            writers.close(quiet=True)
+            # quietly, as their errors would hide the one that ended the split
+            for fh in files.values():
+                with contextlib.suppress(OSError):
+                    fh.close()
             raise
-        return writers.finish(outdir)
+        paths = [outdir / names[window] for window in sorted(names)]
+        for path in paths:
+            os.replace(os.path.join(staging, path.name), path)
+        return paths

@@ -11,6 +11,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -622,6 +623,33 @@ def test_pipeline_outputs_get_new_file_mode(tmp_path, new_file_mode):
     made = list(out.iterdir())
     assert len(made) == 5   # the labeled CSV, three window files and the stats
     assert {stat.S_IMODE(p.stat().st_mode) for p in made} == {new_file_mode}
+
+
+def test_each_output_is_staged_once(tmp_path, monkeypatch):
+    # one staging directory per output file, and one for all window files:
+    # the writer of a path staged_path() gave writes it in place
+    pcap = small_pcap(tmp_path, name="20180701.pcap")   # three 30 s windows
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    real_mkdtemp, made = tempfile.mkdtemp, []
+
+    def counting_mkdtemp(*args, **kwargs):
+        made.append(real_mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", counting_mkdtemp)
+    flows, labeled = tmp_path / "flows.csv", tmp_path / "labeled.csv"
+    stats = ["--stats", str(tmp_path / "stats.jsonl")]
+    for argv, staged in [
+        (["extract", "-i", str(pcap), "-o", str(flows), *stats], 2),
+        (["label", "-i", str(flows), "-c", str(log), "-o", str(labeled)], 1),
+        (["split", "-i", str(labeled), "-o", str(tmp_path / "win"), "-n", "30"], 1),
+        (["pipeline", "-i", str(pcap), "-c", str(log), "-o", str(tmp_path / "out.csv"),
+          "-n", "5", *stats], 3),
+    ]:
+        made.clear()
+        assert run(*argv, "--quiet") == 0
+        assert len(made) == staged, argv[0]
+        assert not any(os.path.exists(path) for path in made)
 
 
 def test_gz_stats_path_is_gzipped(tmp_path):

@@ -562,6 +562,36 @@ def test_split_failure_removes_every_window_file(tmp_path, monkeypatch, fail_at)
     assert list((tmp_path / "win").iterdir()) == []
 
 
+def test_split_failed_eviction_close_leaves_nothing(tmp_path, monkeypatch):
+    # the open of one window more than the limit evicts window 0, whose
+    # close fails as a failed flush does: with its file closed all the same
+    src = tmp_path / "many.csv"
+    write_flows(stamped([w * 1000 for w in range(flow_io._MAX_OPEN_WINDOWS + 1)]), src)
+    real_open, opened = open, []
+    error = OSError(28, "No space left on device")
+
+    class CloseFails:
+        def __init__(self, fh):
+            self.fh, self.write = fh, fh.write
+
+        def close(self):
+            self.fh.close()
+            raise error
+
+    def first_close_fails(file, *args, **kwargs):
+        opened.append(real_open(file, *args, **kwargs))
+        return CloseFails(opened[-1]) if len(opened) == 1 else opened[-1]
+
+    monkeypatch.setattr(flow_io, "open", first_close_fails, raising=False)
+    with pytest.raises(OSError) as err:
+        split_by_window(src, 1.0, tmp_path / "win")
+    assert err.value is error
+    assert len(opened) == flow_io._MAX_OPEN_WINDOWS + 1
+    assert all(fh.closed for fh in opened)
+    # no window file and no staging directory
+    assert list((tmp_path / "win").iterdir()) == []
+
+
 def test_split_rejects_bad_window(tmp_path, capsys):
     src = tmp_path / "x.csv"
     write_flows(stamped([0]), src)

@@ -4,7 +4,8 @@ A malformed row of a flow CSV, labeled CSV or log is reported as
 `<file>: row <n>: <fault>`: the file as the reader was given it, then the
 row, counted by record from the header as row 1.  The table below holds
 one entry per fault kind and per reader that can raise it; the CLI prints
-the same message after `flowlabel: ` and exits 2.
+the same message after `flowlabel: ` and exits 2.  A flow header of the
+wrong width, or with a wrong column, is named after the file, at the end.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from unittest import mock
 
 import pytest
 
-from flowlabel import (AllNullTupleError, MalformedRowError, flags_from_string, flow_io,
-                       parse_log, read_flows, read_traffic, split_by_window)
+from flowlabel import (AllNullTupleError, MalformedRowError, SchemaMismatchError,
+                       flags_from_string, flow_io, parse_log, read_flows, read_traffic,
+                       split_by_window)
 from flowlabel.cli import main
 
 TRAFFIC_HEADER = ["sIP", "dIP", "sPort", "dPort", "proto", "packets", "bytes", "flags",
@@ -202,3 +204,50 @@ def test_good_rows_take_the_raw_line_paths(tmp_path):
                            lambda *args: copied.append(window_line(*args)) or copied[-1]):
         assert len(split_by_window(labeled, 5, tmp_path / "out")) == 1
     assert len(copied) == 8 and None not in copied   # two passes over four rows
+
+
+def _header_cases(header):
+    """(bad header, fault after the file name): one column short, a
+    misspelled column, and a UTF-8 byte-order mark before the first."""
+    width = len(header)
+    return [
+        pytest.param(header[:-1], f"header has {width - 1} columns, expected the "
+                     f"{width}-column schema starting sIP,dIP,...", id="width"),
+        pytest.param(_with(header, 2, "sport"),
+                     "header column 3 is 'sport', expected 'sPort'", id="column"),
+        pytest.param(_with(header, 0, "\ufeffsIP"),
+                     "header column 1 is '\\ufeffsIP', expected 'sIP'", id="bom"),
+    ]
+
+
+@pytest.mark.parametrize("verbatim", [False, True], ids=["csv", "raw-line"])
+@pytest.mark.parametrize("header, fault", _header_cases(TRAFFIC_HEADER))
+def test_read_traffic_names_the_wrong_header(tmp_path, header, fault, verbatim):
+    path = _write(tmp_path / "flows.csv", header, TRAFFIC, TRAFFIC)
+    _raises(lambda: list(read_traffic(path, verbatim=verbatim)),
+            SchemaMismatchError, f"{path}: {fault}")
+
+
+@pytest.mark.parametrize("header, fault", _header_cases(LABELED_HEADER))
+def test_read_flows_names_the_wrong_header(tmp_path, header, fault):
+    path = _write(tmp_path / "labeled.csv", header, TRAFFIC + LABEL, TRAFFIC + LABEL)
+    _raises(lambda: list(read_flows(path)), SchemaMismatchError, f"{path}: {fault}")
+
+
+@pytest.mark.parametrize("min_stime", [None, 0], ids=["scan", "given"])
+@pytest.mark.parametrize("header, fault", _header_cases(LABELED_HEADER))
+def test_split_names_the_wrong_header(tmp_path, header, fault, min_stime):
+    path = _write(tmp_path / "labeled.csv", header, TRAFFIC + LABEL, TRAFFIC + LABEL)
+    out = tmp_path / "out"
+    _raises(lambda: split_by_window(path, 5, out, min_stime=min_stime), SchemaMismatchError,
+            f"{path}: {fault}")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("header, fault", _header_cases(TRAFFIC_HEADER))
+def test_cli_label_names_the_wrong_header(tmp_path, capsys, header, fault):
+    flows = _write(tmp_path / "flows.csv", header, TRAFFIC, TRAFFIC)
+    log = _write(tmp_path / "log.csv", LOG_HEADER, LOG_ROW, LOG_ROW)
+    _cli_fails(capsys, ["label", "-i", str(flows), "-c", str(log),
+                        "-o", str(tmp_path / "out.csv")], f"{flows}: {fault}")
+    assert not (tmp_path / "out.csv").exists()
