@@ -8,12 +8,14 @@ own single-packet flow record.  Both emit flows ordered by flow end time
 A live flow is a `_Flow`, keyed by the reader's packed 5-tuple (or by the
 text 5-tuple of other PacketRecords), and one entry in a heap ordered by
 end time.  Its FlowRecord, FlowKey text included, is built on emission.
+
+FlowRecord and AggregationConfig are NamedTuples and `_Flow` a slotted
+class, so no run imports `dataclasses` (and with it `inspect`).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .pcap_reader import CaptureReader, render
@@ -34,8 +36,7 @@ class FlowKey(NamedTuple):
     proto: int
 
 
-@dataclass(slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     key: FlowKey
     packets: int
     bytes: int
@@ -62,26 +63,34 @@ class FlowRecord:
         return self.etime_ms - self.stime_ms
 
 
-@dataclass(slots=True)
 class _Flow:
     """A live flow: its key and what its packets set."""
-    key: tuple
-    packets: int
-    bytes: int
-    initial_flags: int
-    session_flags: int
-    stime_ms: int
-    etime_ms: int
-    icmp_type: int | None
-    icmp_code: int | None
+    __slots__ = ("key", "packets", "bytes", "initial_flags", "session_flags",
+                 "stime_ms", "etime_ms", "icmp_type", "icmp_code")
+
+    def __init__(self, key, packets, nbytes, initial_flags, session_flags,
+                 stime_ms, etime_ms, icmp_type, icmp_code):
+        self.key = key
+        self.packets = packets
+        self.bytes = nbytes
+        self.initial_flags = initial_flags
+        self.session_flags = session_flags
+        self.stime_ms = stime_ms
+        self.etime_ms = etime_ms
+        self.icmp_type = icmp_type
+        self.icmp_code = icmp_code
 
 
-@dataclass
-class AggregationConfig:
+class AggregationConfig(NamedTuple):
     mode: str = MODE_AGGREGATE
     idle_timeout_ms: int | None = DEFAULT_IDLE_TIMEOUT_MS      # None = never
     active_timeout_ms: int | None = DEFAULT_ACTIVE_TIMEOUT_MS  # None = never
     reorder_window_ms: int = DEFAULT_REORDER_WINDOW_MS
+
+
+_new = tuple.__new__
+# sensor .. application as FlowRecord defaults them: no pcap carries them
+_NO_METADATA = tuple(FlowRecord._field_defaults.values())[2:]
 
 
 def _due(heap: list, flows: dict, barrier: float, make_key):
@@ -96,9 +105,9 @@ def _due(heap: list, flows: dict, barrier: float, make_key):
         if flows.get(rec.key) is rec:
             del flows[rec.key]
         initial, session = rec.initial_flags, rec.session_flags
-        yield FlowRecord(make_key(rec.key), rec.packets, rec.bytes, initial | session,
-                         initial, session, rec.stime_ms, rec.etime_ms, rec.icmp_type,
-                         rec.icmp_code)
+        yield _new(FlowRecord, (make_key(rec.key), rec.packets, rec.bytes, initial | session,
+                                initial, session, rec.stime_ms, rec.etime_ms, rec.icmp_type,
+                                rec.icmp_code) + _NO_METADATA)
 
 
 def build_flows(packets, config: AggregationConfig | None = None, counters=None):

@@ -134,6 +134,8 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
         except StopIteration:
             raise MissingColumnError(f"{path}: empty file, no header row") from None
         cols = {}
+        if header:   # one byte-order mark, as spreadsheet tools save a log
+            header[0] = header[0].removeprefix("\ufeff")
         for idx, name in enumerate(header):
             name = name.strip().lower()
             name = _ALIASES.get(name, name)

@@ -166,6 +166,23 @@ def test_label_rule_precedence(tmp_path):
     assert reverse.class_label == "normal"
 
 
+def test_label_log_with_byte_order_mark(tmp_path):
+    pcap = small_pcap(tmp_path)
+    flows_csv = tmp_path / "flows.csv"
+    run("extract", "-i", str(pcap), "-o", str(flows_csv), "--quiet")
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes("\ufeff".encode() + log.read_bytes())
+    outs = []
+    for name, path in (("plain", log), ("marked", marked)):
+        out = tmp_path / f"{name}.labeled.csv"
+        assert run("label", "-i", str(flows_csv), "-c", str(path), "-o", str(out),
+                   "--quiet") == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert b"alphflHTTP" in outs[1]
+
+
 def test_label_empty_log_all_normal(tmp_path):
     pcap = small_pcap(tmp_path)
     flows_csv = tmp_path / "flows.csv"

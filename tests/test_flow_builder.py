@@ -14,8 +14,8 @@ import tracemalloc
 import pytest
 
 import packetcraft as pc
-from flowlabel import AggregationConfig, FlowKey, build_flows, open_capture
-from flowlabel.flow_builder import MODE_PER_PACKET
+from flowlabel import AggregationConfig, FlowKey, FlowRecord, build_flows, open_capture
+from flowlabel.flow_builder import MODE_PER_PACKET, _Flow
 from flowlabel.pcap_reader import (PacketRecord, TCP_ACK, TCP_FIN, TCP_PSH,
                                    TCP_SYN)
 
@@ -414,3 +414,64 @@ def test_bytes_per_live_flow(tmp_path):
             tracemalloc.stop()
     assert counters["peak_live_flows"] == n
     assert held / n < 365
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the flow types
+
+def test_flow_record_value_semantics():
+    key = FlowKey("10.0.0.1", "10.0.0.2", 1000, 80, 6)
+    rec = FlowRecord(key, 3, 120, 0x12, 0x02, 0x10, 5, 9)
+    assert rec == FlowRecord(key=key, packets=3, bytes=120, flags=0x12, initial_flags=0x02,
+                             session_flags=0x10, stime_ms=5, etime_ms=9)
+    assert (rec.icmp_type, rec.icmp_code) == (None, None)
+    assert (rec.sensor, rec.input_if, rec.output_if, rec.next_hop) == ("0",) * 4
+    assert (rec.sensor_class, rec.flow_type, rec.attributes, rec.application) == ("",) * 4
+    assert rec.duration_ms == 4
+    assert repr(rec) == (
+        "FlowRecord(key=FlowKey(src_ip='10.0.0.1', dst_ip='10.0.0.2', src_port=1000, "
+        "dst_port=80, proto=6), packets=3, bytes=120, flags=18, initial_flags=2, "
+        "session_flags=16, stime_ms=5, etime_ms=9, icmp_type=None, icmp_code=None, "
+        "sensor='0', input_if='0', output_if='0', next_hop='0', sensor_class='', "
+        "flow_type='', attributes='', application='')")
+    # an immutable tuple: equal to the plain tuple of its values, hashable,
+    # and changed only into a new record
+    assert rec == tuple(rec) and hash(rec) == hash(tuple(rec))
+    with pytest.raises(AttributeError):
+        rec.packets = 4
+    later = rec._replace(etime_ms=15, sensor="s1")
+    assert (later.duration_ms, later.sensor, rec.etime_ms) == (10, "s1", 9)
+    assert list(rec._asdict())[:3] == ["key", "packets", "bytes"]
+    assert len(rec) == 18
+
+
+def test_aggregation_config_value_semantics():
+    cfg = AggregationConfig()
+    assert cfg == AggregationConfig("aggregate", 30_000, 1_800_000, 1000)
+    assert AggregationConfig(MODE_PER_PACKET, None) == AggregationConfig(
+        mode=MODE_PER_PACKET, idle_timeout_ms=None)
+    assert repr(cfg) == ("AggregationConfig(mode='aggregate', idle_timeout_ms=30000, "
+                         "active_timeout_ms=1800000, reorder_window_ms=1000)")
+    assert cfg._replace(reorder_window_ms=0).reorder_window_ms == 0
+    assert cfg.reorder_window_ms == 1000
+    assert hash(cfg) == hash(AggregationConfig())
+
+
+def test_emitted_records_are_flow_records_with_default_metadata():
+    packets = [pkt(10, flags=TCP_SYN), pkt(20, flags=TCP_ACK), pkt(15, sport=9, proto=1,
+                                                                   itype=8, icode=0)]
+    out = list(build_flows(packets, no_timeouts()))
+    assert [type(rec) for rec in out] == [FlowRecord, FlowRecord]
+    assert out == [
+        FlowRecord(FlowKey("10.0.0.1", "10.0.0.2", 9, 80, 1), 1, 40, 0, 0, 0, 15, 15, 8, 0),
+        FlowRecord(FlowKey("10.0.0.1", "10.0.0.2", 1000, 80, 6), 2, 80, TCP_SYN | TCP_ACK,
+                   TCP_SYN, TCP_ACK, 10, 20),
+    ]
+
+
+def test_live_flow_has_no_dict():
+    rec = _Flow(("k",), 1, 40, 0, 0, 5, 5, None, None)
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.label = "x"
+    assert (rec.key, rec.packets, rec.bytes, rec.etime_ms) == (("k",), 1, 40, 5)

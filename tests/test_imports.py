@@ -53,6 +53,16 @@ def test_label_only_run_skips_the_packet_side(tmp_path):
     """, str(log))
 
 
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect (and with it ast, dis and tokenize),
+    # which every CLI run would load before its first packet
+    run("""
+        import sys
+        import flowlabel.cli
+        assert not {"dataclasses", "inspect"} & set(sys.modules)
+    """)
+
+
 def test_every_export_is_its_home_object():
     run("""
         from importlib import import_module

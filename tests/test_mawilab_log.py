@@ -107,6 +107,25 @@ def test_alias_headers_and_extra_columns(tmp_path):
     assert (e.sip, e.sport, e.dip, e.dport) == ("1.2.3.4", 1, "2.3.4.5", 2)
 
 
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+def test_byte_order_mark_before_header(tmp_path, gz):
+    # spreadsheet tools save CSV as UTF-8 with a byte-order mark, which
+    # lands in the first header cell; one mark is dropped, as if absent
+    rows = ["192.0.2.1,1234,,,ptmp,20,0.5,3,anomalous", ",,2001:db8::1,53,dns,1,-1.0,2,suspicious"]
+    plain = write_log(tmp_path, rows)
+    data = "\ufeff".encode() + plain.read_bytes()
+    marked = tmp_path / ("marked.csv.gz" if gz else "marked.csv")
+    marked.write_bytes(gzip.compress(data) if gz else data)
+    entries = parse_log(marked)
+    assert len(entries) == 2 and entries == parse_log(plain)
+    # only one: a second mark is part of the column name
+    twice = tmp_path / "twice.csv"
+    twice.write_bytes("\ufeff".encode() + data)
+    with pytest.raises(MissingColumnError) as err:
+        parse_log(twice)
+    assert str(err.value) == f"{twice}: header lacks column 'sip'"
+
+
 def test_missing_column(tmp_path):
     path = write_log(tmp_path, ["1.2.3.4,1,2.3.4.5,2,t,1,1.0,1"],
                      header="sip,sport,dip,dport,taxonomy,heuristic,distance,nbDetectors")
@@ -335,7 +354,7 @@ def _reference_rows(path, accepted_labels, counters):
     accepted = {lbl.strip().lower() for lbl in accepted_labels}
     entries = []
     skipped = 0
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:   # drops one mark
         reader = csv.reader(fh)
         header = next(reader)
         aliases = {"srcip": "sip", "srcport": "sport", "dstip": "dip", "dstport": "dport"}
@@ -452,10 +471,11 @@ def _outcome(parse, path, accepted):
                                [c.upper() for c in _COLUMNS]]),
        accepted=st.sampled_from([DEFAULT_ACCEPTED_LABELS,
                                  DEFAULT_ACCEPTED_LABELS | {LABEL_NOTICE},
-                                 {" Anomalous "}, {"benign", "NOTICE"}]))
-def test_parse_log_matches_reference(tmp_path, rows, order, header, accepted):
+                                 {" Anomalous "}, {"benign", "NOTICE"}]),
+       bom=st.booleans())
+def test_parse_log_matches_reference(tmp_path, rows, order, header, accepted, bom):
     path = tmp_path / "log.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with path.open("w", encoding="utf-8-sig" if bom else "utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([header[i] for i in order])
         for row in rows:

@@ -255,6 +255,17 @@ def test_record_of_the_largest_snaplen_read(tmp_path):
         assert len(list(reader)) == 2
 
 
+def test_record_one_byte_over_the_largest_snaplen_refused(tmp_path):
+    frame = tcp_frame() + bytes(262145 - len(tcp_frame()))
+    path = write(tmp_path, pc.pcap([(1, 0, tcp_frame()), (2, 0, frame)]))
+    first = pc.pcap([(1, 0, tcp_frame())])
+    with open_capture(path) as reader:
+        with pytest.raises(InputFormatError) as err:
+            list(reader)
+    assert str(err.value) == (f"{path}: record 2 at byte {len(first)}: claims 262145 "
+                              "bytes, more than the 262144 a record may hold")
+
+
 def test_file_ends_inside_record_header(tmp_path):
     data = pc.pcap([(1, 0, tcp_frame())]) + b"\x01\x02\x03"
     path = write(tmp_path, data)
@@ -304,6 +315,20 @@ def test_ipv6_later_fragment_ports_zero(tmp_path):
     frame = pc.ethernet(pc.ipv6("2001:db8::a", "2001:db8::b", 44, b"\x00" * 32, ext=ext),
                         pc.ETH_IPV6)
     path = write(tmp_path, pc.pcap([(11, 0, frame)]))
+    with open_capture(path) as reader:
+        (rec,) = list(reader)
+    assert rec.proto == 6
+    assert (rec.src_port, rec.dst_port) == (0, 0)
+    assert rec.tcp_flags == 0
+
+
+def test_ipv6_fragment_at_offset_eight_bytes_ports_zero(tmp_path):
+    # offset field 1, the least a later fragment holds; its payload would
+    # read as ports 1000 -> 2000 with SYN if it were taken for a first one
+    ext = pc.ipv6_frag(6, 1, more=True)
+    frame = pc.ethernet(pc.ipv6("2001:db8::a", "2001:db8::b", 44,
+                                pc.tcp(1000, 2000, TCP_SYN), ext=ext), pc.ETH_IPV6)
+    path = write(tmp_path, pc.pcap([(12, 0, frame)]))
     with open_capture(path) as reader:
         (rec,) = list(reader)
     assert rec.proto == 6
