@@ -5,9 +5,9 @@ or active timeout cuts the flow; `per-packet` turns every packet into its
 own single-packet flow record.  Both emit flows ordered by flow end time
 (ties by first-seen order) and conserve packet and byte totals exactly.
 
-A live flow is a `_Flow`, keyed by the reader's packed 5-tuple (or by the
-text 5-tuple of other PacketRecords), and one entry in a heap ordered by
-end time.  Its FlowRecord, FlowKey text included, is built on emission.
+A live flow is a `_Flow`, keyed by the reader's packed 5-tuple, one bytes
+object (or by the text 5-tuple of other PacketRecords), and one entry in
+a heap ordered by end time.  Its FlowRecord, FlowKey text included, is built on emission.
 
 FlowRecord and AggregationConfig are NamedTuples and `_Flow` a slotted
 class, so no run imports `dataclasses` (and with it `inspect`).
@@ -137,7 +137,7 @@ def build_flows(packets, config: AggregationConfig | None = None, counters=None)
         stream, make_key = packets._keyed(), lambda key: FlowKey._make(render(key))
     else:
         stream, make_key = ((p[0], p[1:6], p[6], p[7], p[8], p[9]) for p in packets), FlowKey._make
-    flows: dict[tuple, _Flow] = {}
+    flows: dict[bytes | tuple, _Flow] = {}
     # One (etime, seq, record) entry per flow, pushed when the flow starts
     # and moved forward only when it surfaces: an entry's time is a lower
     # bound of its record's etime, so every flow that ends before the

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import socket
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -128,14 +129,14 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     strings = {}   # one object per distinct taxonomy and label
     addresses = {}   # IP cell -> its address, for each cell that parsed
     with open_text_read(path) as fh:
-        reader = csv.reader(fh)
+        # one byte-order mark, as spreadsheet tools save a log, goes before csv sees it
+        head = fh.readline().removeprefix("\ufeff")
+        reader = csv.reader(chain((head,), fh) if head else fh)
         try:
             header = next(reader)
         except StopIteration:
             raise MissingColumnError(f"{path}: empty file, no header row") from None
         cols = {}
-        if header:   # one byte-order mark, as spreadsheet tools save a log
-            header[0] = header[0].removeprefix("\ufeff")
         for idx, name in enumerate(header):
             name = name.strip().lower()
             name = _ALIASES.get(name, name)

@@ -13,9 +13,10 @@ whole TCP or UDP header, is decoded inline; every other frame goes through
 the general decoder `_decode_frame`, which gives the same result for the
 common frame.
 Both paths yield the items of `CaptureReader._keyed`, `(ts_ms, key, ip_len,
-tcp_flags, icmp_type, icmp_code)`.  `key` is the packed 5-tuple `(proto,
-src + dst + sport + dport)`: 12 bytes for IPv4, 36 for IPv6, zero ports
-for ICMP and non-first fragments.  Only `render` turns it into text.
+tcp_flags, icmp_type, icmp_code)`.  `key` is the packed 5-tuple as one
+bytes object, `src + dst + sport + dport + proto`: 13 bytes for IPv4, 37
+for IPv6, zero ports for ICMP and non-first fragments.  Only `render`
+turns it into text.
 """
 
 from __future__ import annotations
@@ -80,15 +81,17 @@ _IPV6_FRAGMENT = 44
 # The fast path's view of an untagged Ethernet frame from the ethertype on:
 # ethertype, version/IHL, total length, flags/fragment offset, protocol.
 # Source and destination address and the two ports that follow an IPv4
-# header without options are frame bytes 26-37, its packed key.
+# header without options are frame bytes 26-37, its packed key but for
+# the protocol byte.
 _IPV4_OVER_ETH = struct.Struct("!HBxHxxHxB")
 _FAST_MIN_LEN = 14 + 20 + 8   # Ethernet + IPv4 without options + UDP header
 _FAST_TCP_LEN = 14 + 20 + 20   # the same with a TCP header
 _NO_PORTS = bytes(4)
+_PROTO_BYTE = [bytes((proto,)) for proto in range(256)]   # a key's last byte
 # the shortest transport header decoded, by protocol
 _TRANSPORT_MIN = {PROTO_TCP: 20, PROTO_UDP: 8, PROTO_ICMP: 4, PROTO_ICMP6: 4}
-_KEY_LAYOUTS = {12: (socket.AF_INET, struct.Struct("!4s4sHH").unpack),
-                36: (socket.AF_INET6, struct.Struct("!16s16sHH").unpack)}
+_KEY_LAYOUTS = {13: (socket.AF_INET, struct.Struct("!4s4sHHB").unpack),
+                37: (socket.AF_INET6, struct.Struct("!16s16sHHB").unpack)}
 
 # Bytes buffered per refill; a record cut by a refill is carried over.
 _BLOCK = 256 * 1024
@@ -273,7 +276,7 @@ class CaptureReader:
                 etype, vihl, ip_len, frag, proto = unpack_ip(buf, start + 12)
                 if etype == _ETH_IPV4 and vihl == 0x45 and not frag & 0x1FFF and (
                         proto == PROTO_UDP or proto == PROTO_TCP and incl_len >= _FAST_TCP_LEN):
-                    yield (ts_ms, (proto, buf[start + 26:start + 38]), ip_len,
+                    yield (ts_ms, buf[start + 26:start + 38] + _PROTO_BYTE[proto], ip_len,
                            buf[start + 47] if proto == PROTO_TCP else 0, None, None)
                     continue
             item = decode(ts_ms, buf[start:pos])
@@ -372,15 +375,14 @@ class CaptureReader:
         elif proto in _TRANSPORT_MIN:   # TCP or UDP
             ports = seg[:4]
             flags = seg[13] if proto == PROTO_TCP else 0
-        return (ts_ms, (proto, addrs + ports), ip_len, flags, itype, icode)
+        return (ts_ms, addrs + ports + _PROTO_BYTE[proto], ip_len, flags, itype, icode)
 
 
 def render(key) -> tuple:
     """The text 5-tuple (src_ip, dst_ip, src_port, dst_port, proto) of a
     packed flow key."""
-    proto, packed = key
-    family, unpack = _KEY_LAYOUTS[len(packed)]
-    src, dst, sport, dport = unpack(packed)
+    family, unpack = _KEY_LAYOUTS[len(key)]
+    src, dst, sport, dport, proto = unpack(key)
     return (socket.inet_ntop(family, src), socket.inet_ntop(family, dst), sport, dport, proto)
 
 

@@ -173,13 +173,17 @@ def test_label_log_with_byte_order_mark(tmp_path):
     log = write_log(tmp_path, MIXED_RULE_ROWS)
     marked = tmp_path / "marked.csv"
     marked.write_bytes("\ufeff".encode() + log.read_bytes())
+    # a mark before a quoted header cell, as a writer that quotes every cell saves it
+    quoted = tmp_path / "quoted.csv"
+    quoted_header = ",".join(f'"{name}"' for name in LOG_HEADER.split(","))
+    quoted.write_bytes(("\ufeff" + "\n".join([quoted_header, *MIXED_RULE_ROWS]) + "\n").encode())
     outs = []
-    for name, path in (("plain", log), ("marked", marked)):
+    for name, path in (("plain", log), ("marked", marked), ("quoted", quoted)):
         out = tmp_path / f"{name}.labeled.csv"
         assert run("label", "-i", str(flows_csv), "-c", str(path), "-o", str(out),
                    "--quiet") == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     assert b"alphflHTTP" in outs[1]
 
 

@@ -126,6 +126,30 @@ def test_byte_order_mark_before_header(tmp_path, gz):
     assert str(err.value) == f"{twice}: header lacks column 'sip'"
 
 
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+def test_byte_order_mark_before_quoted_header(tmp_path, gz):
+    # a writer that quotes every cell puts the mark before the first
+    # quote; csv would read '\ufeff"sip"' as one unquoted cell
+    rows = ["192.0.2.1,1234,,,ptmp,20,0.5,3,anomalous", ",,2001:db8::1,53,dns,1,-1.0,2,suspicious"]
+    plain = write_log(tmp_path, rows)
+    quoted = ",".join(f'"{name}"' for name in HEADER.split(","))
+    data = ("\ufeff" + quoted + "\n" + "\n".join(rows) + "\n").encode()
+    marked = tmp_path / ("marked.csv.gz" if gz else "marked.csv")
+    marked.write_bytes(gzip.compress(data) if gz else data)
+    entries = parse_log(marked)
+    assert len(entries) == 2 and entries == parse_log(plain)
+
+
+def test_byte_order_mark_after_header_stays(tmp_path):
+    # only a mark that starts the file is dropped: one that starts a row
+    # is part of its first cell
+    path = tmp_path / "log.csv"
+    path.write_text(HEADER + "\n\ufeff192.0.2.1,1234,,,ptmp,20,0.5,3,anomalous\n")
+    with pytest.raises(MalformedRowError) as err:
+        parse_log(path)
+    assert str(err.value) == f"{path}: row 2: bad IP in sip: '\\ufeff192.0.2.1'"
+
+
 def test_missing_column(tmp_path):
     path = write_log(tmp_path, ["1.2.3.4,1,2.3.4.5,2,t,1,1.0,1"],
                      header="sip,sport,dip,dport,taxonomy,heuristic,distance,nbDetectors")

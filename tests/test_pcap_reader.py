@@ -573,6 +573,42 @@ def test_one_flow_whichever_decoder_path(tmp_path, monkeypatch):
     assert (later.icmp_type, later.icmp_code) == (None, None)
 
 
+@pytest.mark.parametrize("forced", [False, True], ids=["either-path", "general-decoder"])
+def test_protocol_alone_tells_flows_apart(tmp_path, monkeypatch, forced):
+    # between the same two hosts: TCP and UDP with equal ports, a later
+    # fragment of each (zero ports) and an ICMP packet (zero ports), so
+    # only the protocol tells the last three apart
+    v4, v6, zeros = ("10.0.0.1", "10.0.0.2"), ("2001:db8::1", "2001:db8::2"), b"\x00" * 16
+    packets = [
+        (pc.ipv4(*v4, 6, pc.tcp(1234, 80, TCP_SYN)), FlowKey(*v4, 1234, 80, 6)),
+        (pc.ipv4(*v4, 17, pc.udp(1234, 80)), FlowKey(*v4, 1234, 80, 17)),
+        (pc.ipv4(*v4, 6, zeros, frag_offset8=3), FlowKey(*v4, 0, 0, 6)),
+        (pc.ipv4(*v4, 17, zeros, frag_offset8=3), FlowKey(*v4, 0, 0, 17)),
+        (pc.ipv4(*v4, 1, pc.icmp(8, 0)), FlowKey(*v4, 0, 0, 1)),
+        (pc.ipv6(*v6, 6, pc.tcp(1234, 80, TCP_SYN)), FlowKey(*v6, 1234, 80, 6)),
+        (pc.ipv6(*v6, 17, pc.udp(1234, 80)), FlowKey(*v6, 1234, 80, 17)),
+        (pc.ipv6(*v6, 44, zeros, ext=pc.ipv6_frag(6, 3)), FlowKey(*v6, 0, 0, 6)),
+        (pc.ipv6(*v6, 44, zeros, ext=pc.ipv6_frag(17, 3)), FlowKey(*v6, 0, 0, 17)),
+        (pc.ipv6(*v6, 58, pc.icmp(128, 0)), FlowKey(*v6, 0, 0, 58)),
+    ]
+    frames = [pc.ethernet(ip, pc.ETH_IPV4 if ip[0] >> 4 == 4 else pc.ETH_IPV6)
+              for ip, _ in packets]
+    if forced:
+        monkeypatch.setattr(pcap_reader, "_FAST_MIN_LEN", float("inf"))
+    path = write(tmp_path, pc.pcap([(1, i * 1000, f) for i, f in enumerate(frames)]))
+    general = []
+    with open_capture(path) as reader:
+        decode = reader._decode_frame
+        monkeypatch.setattr(reader, "_decode_frame",
+                            lambda ts_ms, data: general.append(data) or decode(ts_ms, data))
+        flows = list(build_flows(reader))
+    assert general == (frames if forced else frames[2:])
+    assert [flow.key for flow in flows] == [key for _, key in packets]
+    assert all(flow.packets == 1 for flow in flows)
+    assert [(flow.icmp_type, flow.icmp_code) for flow in flows if flow.key.proto in (1, 58)] == [
+        (8, 0), (128, 0)]
+
+
 def test_mapped_and_dotted_addresses_stay_two_flows(tmp_path):
     frames = [pc.ethernet(pc.ipv6("::ffff:10.0.0.1", "::ffff:10.0.0.2", 6,
                                   pc.tcp(1234, 80, TCP_SYN)), pc.ETH_IPV6),
