@@ -2,8 +2,10 @@
 
 Reading sniffs the 0x1f8b prefix instead of trusting the file name;
 writing compresses when the path ends in .gz, with a fixed gzip mtime so
-identical inputs produce byte-identical outputs, on a worker thread so
-that deflate overlaps the caller's work.
+identical inputs produce byte-identical outputs.  One GzipFile subclass
+does both: it closes the file it wraps, and when writing it deflates each
+256 KiB chunk on a worker thread, so that deflate overlaps the caller's
+work.
 
 Every output is staged: written under its final name in a hidden
 `.<name>.XXXXXXXX.tmp/` directory beside the file it names, through any
@@ -40,21 +42,15 @@ def file_stem(path) -> str:
     return Path(name).stem or name
 
 
-class _OwningGzipFile(gzip.GzipFile):
-    """GzipFile that closes the file object it reads from."""
+class _GzipStream(gzip.GzipFile):
+    """GzipFile that closes the file it wraps, leaves its finalizer nothing
+    to write when writing its header fails, and compresses each write on
+    a worker thread, one chunk in flight at a time.  zlib releases the
+    interpreter lock while it deflates, so compression overlaps the
+    caller's work.  A worker's error is raised in the caller by the next
+    write, flush or close; no thread outlives close()."""
 
-    def close(self):
-        raw = self.fileobj
-        try:
-            super().close()
-        finally:
-            if raw is not None:
-                raw.close()
-
-
-class _WritingGzipFile(gzip.GzipFile):
-    """GzipFile that, when writing its header fails, leaves nothing for
-    its finalizer to write to the file."""
+    _worker = _error = None
 
     def __init__(self, *args, **kwargs):
         try:
@@ -62,6 +58,46 @@ class _WritingGzipFile(gzip.GzipFile):
         except BaseException:
             self.fileobj = None
             raise
+
+    def _compress(self, chunk: bytes):
+        try:
+            super().write(chunk)
+        except BaseException as exc:
+            self._error = exc
+
+    def _wait(self):
+        if self._worker is not None:
+            self._worker.join()
+            self._worker = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def write(self, data):
+        self._wait()
+        # the caller may reuse `data` once this returns
+        self._worker = threading.Thread(target=self._compress, args=(bytes(data),),
+                                        name="flowlabel-gzip")
+        self._worker.start()
+        return len(data)
+
+    def flush(self, zlib_mode=zlib.Z_SYNC_FLUSH):
+        self._wait()
+        super().flush(zlib_mode)
+
+    def close(self):
+        raw = self.fileobj
+        if raw is None:
+            return
+        try:
+            # the sync flush is part of the output bytes that TextIOWrapper
+            # over a GzipFile has always produced; reading, it does nothing
+            self.flush()
+        finally:
+            try:
+                super().close()
+            finally:
+                raw.close()
 
 
 def open_binary_read(path):
@@ -71,7 +107,7 @@ def open_binary_read(path):
     raw = open(path, "rb")
     try:
         if raw.peek(2)[:2] == b"\x1f\x8b":
-            return _OwningGzipFile(fileobj=raw, mode="rb")
+            return _GzipStream(fileobj=raw, mode="rb")
         return raw
     except BaseException:
         raw.close()
@@ -94,56 +130,6 @@ def open_text_read(path):
             raise InputFormatError(f"{path}: bad CSV: {exc}") from None
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise InputFormatError(f"{path}: damaged gzip input: {exc}") from exc
-
-
-class _GzipOnThread(io.RawIOBase):
-    """Raw writer that compresses each chunk into a GzipFile on a worker
-    thread, one chunk in flight at a time.  zlib releases the interpreter
-    lock while it deflates, so compression overlaps the caller's work.
-    A worker's error is raised in the caller by the next write, flush or
-    close; no thread outlives close()."""
-
-    def __init__(self, gz: gzip.GzipFile):
-        self._gz = gz
-        self._worker = None
-        self._error = None
-
-    def writable(self):
-        return True
-
-    def _compress(self, chunk: bytes):
-        try:
-            self._gz.write(chunk)
-        except BaseException as exc:
-            self._error = exc
-
-    def _wait(self):
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = None
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def write(self, b):
-        self._wait()
-        # the caller may reuse `b` once this returns
-        self._worker = threading.Thread(target=self._compress, args=(bytes(b),),
-                                        name="flowlabel-gzip")
-        self._worker.start()
-        return len(b)
-
-    def flush(self):
-        # the sync flush is part of the output bytes that TextIOWrapper
-        # over a GzipFile has always produced
-        self._wait()
-        self._gz.flush()
-
-    def close(self):
-        try:
-            super().close()    # flush(), which joins the worker
-        finally:
-            self._gz.close()
 
 
 def written_in_place(path) -> bool:
@@ -197,7 +183,7 @@ def open_text_write(path):
     with staged_path(path) as staged, open(staged, "wb") as raw:
         stream = raw
         if staged.endswith(".gz"):
-            gz = _WritingGzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
-            stream = io.BufferedWriter(_GzipOnThread(gz), _GZIP_CHUNK)
+            stream = io.BufferedWriter(
+                _GzipStream(filename="", mode="wb", fileobj=raw, mtime=0), _GZIP_CHUNK)
         with io.TextIOWrapper(stream, encoding="utf-8", newline="") as text:
             yield text

@@ -1,6 +1,7 @@
-"""Output file helper tests: the gzip writer that compresses on a worker
-thread must give the bytes of a plain GzipFile under a TextIOWrapper, and
-a failed write must leave neither a file nor a thread behind."""
+"""File helper tests: the gzip writer that compresses on a worker thread
+must give the bytes of a plain GzipFile under a TextIOWrapper, a failed
+write must leave neither a file nor a thread behind, and a gzip input's
+file must close with its stream."""
 
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ import threading
 
 import pytest
 
-from flowlabel import _fileio
-from flowlabel._fileio import open_text_write
+import packetcraft as pc
+from flowlabel import _fileio, open_capture
+from flowlabel._fileio import open_binary_read, open_text_read, open_text_write
+from flowlabel.errors import InputFormatError
 
 CHUNK = 256 * 1024
 
@@ -181,3 +184,65 @@ def test_failed_gzip_header_leaves_nothing_to_finalize(tmp_path, monkeypatch):
     assert raw.writes == 1
     assert unraisable == []
     assert list(out.iterdir()) == []
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The files that _fileio opens, in order."""
+    files = []
+
+    def capturing_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(_fileio, "open", capturing_open, raising=False)
+    return files
+
+
+TEXT = "".join(csv_like(random.Random(3), 3 * CHUNK))
+
+
+def test_gzip_input_file_closes_with_its_stream(tmp_path, opened):
+    path = tmp_path / "flows.csv.gz"
+    path.write_bytes(gzip.compress(TEXT.encode(), mtime=0))
+    stream = open_binary_read(path)
+    assert isinstance(stream, gzip.GzipFile)
+    assert stream.read() == TEXT.encode()
+    (raw,) = opened
+    assert not raw.closed
+    stream.close()
+    assert raw.closed
+
+
+def test_gzip_text_input_file_closes_when_its_block_ends(tmp_path, opened):
+    path = tmp_path / "flows.csv.gz"
+    path.write_bytes(gzip.compress(TEXT.encode(), mtime=0))
+    with open_text_read(path) as fh:
+        assert fh.read() == TEXT
+    (raw,) = opened
+    assert raw.closed
+
+
+def test_damaged_gzip_text_input_file_closes(tmp_path, opened):
+    packed = gzip.compress(TEXT.encode(), mtime=0)
+    path = tmp_path / "flows.csv.gz"
+    path.write_bytes(packed[:len(packed) // 2])   # ends early
+    lines = 0
+    with pytest.raises(InputFormatError, match="damaged gzip input"):
+        with open_text_read(path) as fh:
+            for _ in fh:
+                lines += 1
+    assert 0 < lines < TEXT.count("\n")
+    (raw,) = opened
+    assert raw.closed
+
+
+def test_gzip_capture_file_closes_with_its_reader(tmp_path, opened):
+    frame = pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 6, pc.tcp(1234, 80, 0x02)))
+    path = tmp_path / "trace.pcap.gz"
+    path.write_bytes(gzip.compress(pc.pcap([(8, 0, frame)]), mtime=0))
+    with open_capture(path) as reader:
+        assert len(list(reader)) == 1
+        (raw,) = opened
+        assert not raw.closed
+    assert raw.closed

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flowlabel import (FlowRecord, InputFormatError, LabelStats, MalformedRowError,
+from flowlabel import (FlowRecord, InputFormatError, LabeledFlow, LabelStats, MalformedRowError,
                        build_index, flow_io, label_flows, parse_log, read_traffic,
                        split_by_window, write_flows)
 from flowlabel.flow_io import MILLISECONDS, OUTPUT_COLUMNS, SECONDS, TRAFFIC_COLUMNS
@@ -280,3 +280,19 @@ def test_cell_past_the_csv_field_limit_fails_alike(tmp_path, index):
     verbatim = _outcome(lambda: _split(labeled, tmp_path / "c", 1.0, True))
     parsed = _outcome(lambda: _split(labeled, tmp_path / "d", 1.0, False))
     assert verbatim == parsed and verbatim[0] is InputFormatError
+
+
+def test_label_suffix_cache_stays_within_its_bound():
+    # a log with many winning rules must not grow the cache of rendered
+    # label suffixes past its bound; the rows here have more labels than it
+    flow = flow_io._traffic_line(CANONICAL)
+    assert flow is not None
+    rows = flow_io._labeled_rows(
+        (LabeledFlow(flow, "anomaly", f"rule{n}", 20, 0.5, 3, "anomalous") for n in range(600)),
+        flow_io._time_renderer(MILLISECONDS))
+    peak = 0
+    for n, line in enumerate(rows):
+        assert line.endswith(f",anomaly,rule{n},anomalous,20,0.5,3\n")
+        peak = max(peak, len(rows.gi_frame.f_locals["suffixes"]))
+        assert peak <= flow_io._SUFFIXES_MAX
+    assert peak == flow_io._SUFFIXES_MAX < 600
