@@ -21,11 +21,8 @@ import csv
 import gzip
 import io
 import os
-import tempfile
-import threading
 import zlib
 from contextlib import contextmanager
-from pathlib import Path
 
 from .errors import InputFormatError
 
@@ -36,6 +33,7 @@ _GZIP_CHUNK = 256 * 1024
 def file_stem(path) -> str:
     """File name without its directory, a .gz suffix and one more suffix;
     output file names are built from it."""
+    from pathlib import Path   # loaded only where output names are made
     name = Path(path).name
     if name.endswith(".gz"):
         name = name[:-3]
@@ -74,6 +72,7 @@ class _GzipStream(gzip.GzipFile):
             raise error
 
     def write(self, data):
+        import threading   # loaded only when writing gzip
         self._wait()
         # the caller may reuse `data` once this returns
         self._worker = threading.Thread(target=self._compress, args=(bytes(data),),
@@ -144,6 +143,7 @@ def staging_dir(path):
     to write the files meant for the directory of `path`; a context
     manager, which removes it with whatever it still holds when the block
     ends."""
+    import tempfile   # loaded only where outputs are written
     directory, name = os.path.split(os.fspath(path))
     return tempfile.TemporaryDirectory(suffix=".tmp", prefix=f".{name}.", dir=directory or ".",
                                        ignore_cleanup_errors=True)

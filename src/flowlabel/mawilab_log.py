@@ -22,7 +22,8 @@ fault a row holds is the one raised.
 from __future__ import annotations
 
 import csv
-import socket
+# socket.py only re-exports these from _socket, and importing it costs about 0.4 MB
+from _socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -77,9 +78,9 @@ def _parse_ip(cell: str, col: str) -> str:
     inet_pton rejects, such as one with a %scope suffix, goes through
     ipaddress, which decides whether it is an address at all."""
     text = cell.strip()
-    family = socket.AF_INET6 if ":" in text else socket.AF_INET
+    family = AF_INET6 if ":" in text else AF_INET
     try:
-        return socket.inet_ntop(family, socket.inet_pton(family, text))
+        return inet_ntop(family, inet_pton(family, text))
     except (OSError, ValueError):
         pass
     import ipaddress   # loaded only for the rare cell inet_pton rejects

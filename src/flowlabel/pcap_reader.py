@@ -6,7 +6,9 @@ magics, and transparent gzip input.  Link layers: Ethernet (including
 IPv4/IPv6, or whose captured bytes truncate a header we need, are skipped
 and counted rather than treated as fatal.
 
-Records are parsed out of blocks of at least 256 KiB, and one that claims
+Records are parsed out of blocks of 64 KiB (more when one record needs
+it).  The spent block is let go before a refill, which holds only the
+bytes it carries over, the new chunks and their join.  A record that claims
 more than _MAX_RECORD bytes is refused unbuffered.  The common frame,
 untagged Ethernet carrying an option-less IPv4 first fragment with its
 whole TCP or UDP header, is decoded inline; every other frame goes through
@@ -22,9 +24,10 @@ turns it into text.
 from __future__ import annotations
 
 import gzip
-import socket
 import struct
 import zlib
+# socket.py only re-exports these from _socket, and importing it costs about 0.4 MB
+from _socket import AF_INET, AF_INET6, inet_ntop
 from collections import Counter
 from typing import NamedTuple
 
@@ -90,11 +93,11 @@ _NO_PORTS = bytes(4)
 _PROTO_BYTE = [bytes((proto,)) for proto in range(256)]   # a key's last byte
 # the shortest transport header decoded, by protocol
 _TRANSPORT_MIN = {PROTO_TCP: 20, PROTO_UDP: 8, PROTO_ICMP: 4, PROTO_ICMP6: 4}
-_KEY_LAYOUTS = {13: (socket.AF_INET, struct.Struct("!4s4sHHB").unpack),
-                37: (socket.AF_INET6, struct.Struct("!16s16sHHB").unpack)}
+_KEY_LAYOUTS = {13: (AF_INET, struct.Struct("!4s4sHHB").unpack),
+                37: (AF_INET6, struct.Struct("!16s16sHHB").unpack)}
 
 # Bytes buffered per refill; a record cut by a refill is carried over.
-_BLOCK = 256 * 1024
+_BLOCK = 64 * 1024
 # The most bytes a record may claim (libpcap's MAXIMUM_SNAPLEN).
 _MAX_RECORD = 262144
 
@@ -251,7 +254,8 @@ class CaptureReader:
         while True:
             if size - pos < 16:
                 base += pos
-                buf = self._fill(buf[pos:], 16)
+                rest, buf = buf[pos:], b""   # the spent block goes before the refill
+                buf = self._fill(rest, 16)
                 pos, size = 0, len(buf)
                 if size < 16:
                     if size == 0 and self._read_error is None:
@@ -264,7 +268,8 @@ class CaptureReader:
             pos = start + incl_len
             if pos > size:
                 base += start
-                buf = self._fill(buf[start:], incl_len)
+                rest, buf = buf[start:], b""
+                buf = self._fill(rest, incl_len)
                 start, pos, size = 0, incl_len, len(buf)
                 if size < incl_len:
                     raise self._short_read(
@@ -383,7 +388,7 @@ def render(key) -> tuple:
     packed flow key."""
     family, unpack = _KEY_LAYOUTS[len(key)]
     src, dst, sport, dport, proto = unpack(key)
-    return (socket.inet_ntop(family, src), socket.inet_ntop(family, dst), sport, dport, proto)
+    return (inet_ntop(family, src), inet_ntop(family, dst), sport, dport, proto)
 
 
 def open_capture(path) -> CaptureReader:

@@ -16,10 +16,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flowlabel"
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE)]) if m.name != "__main__")
 
 
-def run(code: str, *args: str):
-    """Run `code` in a fresh interpreter that imports flowlabel from src;
-    it signals a failed check by raising."""
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+def run(code: str, *args: str, flags: tuple[str, ...] = ()):
+    """Run `code` in a fresh interpreter, started with `flags`, that imports
+    flowlabel from src; it signals a failed check by raising."""
+    proc = subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code), *args],
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -35,11 +35,16 @@ def test_import_loads_no_submodule():
     """)
 
 
-def test_label_only_run_skips_the_packet_side(tmp_path):
+@pytest.fixture
+def log(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("sip,sport,dip,dport,taxonomy,heuristic,distance,nbDetectors,label\n"
                    "10.0.0.1,,10.0.0.2,80,ptmp,20,0.5,3,anomalous\n"
                    "::ffff:10.0.0.3,null,,,unk,1,-1.0,2,suspicious\n")
+    return log
+
+
+def test_label_only_run_skips_the_packet_side(log):
     run("""
         import sys
         before = set(sys.modules)
@@ -53,6 +58,21 @@ def test_label_only_run_skips_the_packet_side(tmp_path):
     """, str(log))
 
 
+def test_label_only_run_skips_the_output_side(log):
+    # without site (-S), which may preload them, a run that only reads
+    # loads none of the modules that writing outputs or socket.py need
+    run("""
+        import sys
+        before = set(sys.modules)
+        from flowlabel import build_index, parse_log
+        assert len(build_index(parse_log(sys.argv[1]))) == 2
+        new = set(sys.modules) - before
+        unwanted = {"tempfile", "shutil", "random", "pathlib", "fnmatch", "urllib.parse",
+                    "ipaddress", "threading", "socket", "selectors"}
+        assert not unwanted & new, sorted(unwanted & new)
+    """, str(log), flags=("-S",))
+
+
 def test_cli_import_skips_dataclasses():
     # dataclasses pulls in inspect (and with it ast, dis and tokenize),
     # which every CLI run would load before its first packet
@@ -60,6 +80,34 @@ def test_cli_import_skips_dataclasses():
         import sys
         import flowlabel.cli
         assert not {"dataclasses", "inspect"} & set(sys.modules)
+    """)
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_cli_import_skips_socket(flags):
+    # inet_ntop, inet_pton and the address families come from _socket;
+    # socket.py would add its enum tables, selectors, select and array
+    run("""
+        import sys
+        before = set(sys.modules)
+        import flowlabel.cli
+        assert not {"socket", "selectors"} & (set(sys.modules) - before)
+    """, flags=flags)
+
+
+def test_addresses_render_as_socket_inet_ntop():
+    # IPv4, IPv6, IPv4-mapped and IPv4-compatible text as socket.py gives it
+    run("""
+        import socket
+        from flowlabel.mawilab_log import _parse_ip
+        from flowlabel.pcap_reader import render
+        for text in ("192.0.2.7", "2001:db8::7", "::ffff:192.0.2.7", "::192.0.2.7"):
+            family = socket.AF_INET6 if ":" in text else socket.AF_INET
+            src = socket.inet_pton(family, text)
+            dst = src[::-1]
+            want = socket.inet_ntop(family, src), socket.inet_ntop(family, dst)
+            assert render(src + dst + bytes(5))[:2] == want, (text, want)
+            assert _parse_ip(text, "sip") == want[0], (text, want)
     """)
 
 

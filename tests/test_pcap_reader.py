@@ -7,6 +7,7 @@ import os
 import random
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import pytest
@@ -743,6 +744,36 @@ def test_gzip_truncation_keeps_every_recoverable_record(tmp_path):
         assert message == (f"{path}: record {ref.records_read + 1} at byte {len(prefix)}: "
                            "compressed stream ends early")
         assert got == want
+
+
+@pytest.mark.parametrize("name", ["big.pcap", "big.pcap.gz"])
+def test_keyed_stream_buffers_a_bounded_amount(tmp_path, name):
+    # a refill holds the carried-over tail, the new chunks and their join,
+    # not the spent block as well, so what the walk buffers does not grow
+    # with the capture; IPv6 frames take the general decoder
+    rng = random.Random(4096)
+    frames = []
+    for i in range(1600):
+        udp = pc.udp(1024 + i, 53, rng.randbytes(1400))
+        frames.append(pc.ethernet(pc.ipv6(*_V6, 17, udp), pc.ETH_IPV6) if i % 10 == 0 else
+                      pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 17, udp)))
+    data = pc.pcap([(i, 0, frame) for i, frame in enumerate(frames)])
+    assert len(data) > 2 * 1024 * 1024
+    path = write(tmp_path, gzip.compress(data, mtime=0) if name.endswith(".gz") else data, name)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with open_capture(path) as reader:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in reader._keyed():
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert reader.decoded == len(frames)
+    assert peak < 256 * 1024, peak
 
 
 @pytest.mark.parametrize("damage", ["crc", "trailing garbage"])
