@@ -56,13 +56,23 @@ def _timeout_ms(seconds: float) -> int | None:
 
 
 def _seconds(text: str) -> float:
-    """A timeout: any number but NaN (0, negative and inf disable it)."""
+    """Any number of seconds but NaN."""
     try:
         seconds = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}") from None
     if math.isnan(seconds):
         raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}")
+    return seconds
+
+
+def _timeout(text: str) -> float:
+    """A timeout: 0, negative and inf disable it; any other number must
+    round to at least 1 ms, as one that rounds to 0 would cut at every gap."""
+    seconds = _seconds(text)
+    if _timeout_ms(seconds) == 0:
+        raise argparse.ArgumentTypeError(
+            f"timeout must be 0 to disable it or at least 1 ms once rounded, got {text!r}")
     return seconds
 
 
@@ -82,12 +92,18 @@ def _require_inputs(*paths):
             raise UsageError(f"input path does not exist: {p}")
 
 
-def _resolve_out(output, input_path, suffix: str) -> str:
+def _resolve_out(args, suffix: str) -> str:
     """-o may name a file (used as-is) or an existing directory (the file
-    name is derived from the input, like the original tools did)."""
-    if os.path.isdir(output):
-        return os.path.join(output, file_stem(input_path) + suffix)
-    return str(output)
+    name is derived from the input, like the original tools did).  --stats
+    may not name the same file, which would replace the other, unless it
+    is written in place, like /dev/stdout."""
+    out = args.output
+    if os.path.isdir(out):
+        out = os.path.join(out, file_stem(args.input) + suffix)
+    if (args.stats and not written_in_place(out)
+            and os.path.realpath(args.stats) == os.path.realpath(out)):
+        raise UsageError(f"--stats names the output file {out}")
+    return out
 
 
 def _progress(flows, reader):
@@ -216,7 +232,7 @@ def _write_labeled(flows, index, log_summary, write_path, out_path, args,
 
 def cmd_extract(args) -> int:
     _require_inputs(args.input)
-    out = _resolve_out(args.output, args.input, "_result.data")
+    out = _resolve_out(args, "_result.data")
     counters = {}
     with (open_capture(args.input) as reader, staged_path(out) as staged,
           staged_path(args.stats) as stats_path):
@@ -228,7 +244,7 @@ def cmd_extract(args) -> int:
 
 def cmd_label(args) -> int:
     _require_inputs(args.input, args.classifier)
-    out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
+    out = _resolve_out(args, "_mawilab_flow.csv")
     index, log_summary = _load_index(args.classifier, args)
     with staged_path(out) as staged, staged_path(args.stats) as stats_path:
         _, lines = _write_labeled(read_traffic(args.input, verbatim=True), index,
@@ -249,7 +265,7 @@ def cmd_split(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _require_inputs(args.input, args.classifier)
-    out = _resolve_out(args.output, args.input, "_mawilab_flow.csv")
+    out = _resolve_out(args, "_mawilab_flow.csv")
     if args.window is not None and written_in_place(out):
         # the split reads the labeled CSV back, which a FIFO or device can't give
         raise UsageError(f"-n needs a regular output file, not {out}")
@@ -280,10 +296,10 @@ def _add_extract_options(p):
     p.add_argument("--mode", choices=[MODE_AGGREGATE, MODE_PER_PACKET],
                    default=MODE_AGGREGATE,
                    help="aggregate packets into flows (default) or emit one flow per packet")
-    p.add_argument("--idle-timeout", type=_seconds, default=DEFAULT_IDLE_TIMEOUT_MS / 1000,
+    p.add_argument("--idle-timeout", type=_timeout, default=DEFAULT_IDLE_TIMEOUT_MS / 1000,
                    metavar="SECONDS", help="cut a flow after this long without a packet "
                                            "(default %(default)g; 0 disables)")
-    p.add_argument("--active-timeout", type=_seconds, default=DEFAULT_ACTIVE_TIMEOUT_MS / 1000,
+    p.add_argument("--active-timeout", type=_timeout, default=DEFAULT_ACTIVE_TIMEOUT_MS / 1000,
                    metavar="SECONDS", help="cut a flow after this total lifetime "
                                            "(default %(default)g; 0 disables)")
 

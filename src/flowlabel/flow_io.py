@@ -24,8 +24,7 @@ import types
 from itertools import chain
 from math import copysign, isfinite
 from operator import itemgetter
-from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._fileio import file_stem, open_text_read, open_text_write, staging_dir
 from .errors import MalformedRowError, SchemaMismatchError
@@ -33,6 +32,9 @@ from .flow_builder import FlowKey, FlowRecord
 from .labeler import CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, LabeledFlow
 from .pcap_reader import (TCP_ACK, TCP_CWR, TCP_ECE, TCP_FIN, TCP_PSH,
                           TCP_RST, TCP_SYN, TCP_URG)
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 OUTPUT_COLUMNS = (
     "sIP", "dIP", "sPort", "dPort", "proto", "packets", "bytes", "flags",
@@ -405,6 +407,7 @@ def split_by_window(input_path, window_s: float, outdir, *,
                 min_stime = stime
         if min_stime is None:
             return []
+    from pathlib import Path   # loaded only where a split runs
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = file_stem(input_path)

@@ -11,8 +11,8 @@ A null attribute is an empty cell or the word null in any case, with or
 without whitespace around it; "", "null", "NULL" and "Null" are
 recognized as they stand, any other spelling after strip() and lower().
 Within one parse_log call, entries share their address strings: each
-distinct IP cell is parsed once, and every row that spells an address
-the same way gets the same str object.
+distinct IP cell, a null spelling included, is decided once, and every
+row that spells an address the same way gets the same str object.
 
 Each accepted row is checked in one pass, in the order sip, dip, sport,
 dport, the all-null test, heuristic, distance, nbDetectors, so the first
@@ -105,11 +105,9 @@ def _port(cell: str, col: str) -> int | None:
 
 
 def _address(cell: str, col: str, known: dict) -> str | None:
-    """The address in an IP cell that is not a common null spelling, or
-    None for a null; an address is remembered in `known` under its cell."""
-    if _is_null(cell):
-        return None
-    text = known[cell] = _parse_ip(cell, col)
+    """The address in an IP cell not yet in `known`, or None for a null;
+    the answer is remembered in `known` under the cell."""
+    text = known[cell] = None if _is_null(cell) else _parse_ip(cell, col)
     return text
 
 
@@ -128,7 +126,7 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
     nulls = _NULLS
     skipped = 0
     strings = {}   # one object per distinct taxonomy and label
-    addresses = {}   # IP cell -> its address, for each cell that parsed
+    addresses = dict.fromkeys(_NULLS)   # IP cell -> its address, or None for a null
     with open_text_read(path) as fh:
         # one byte-order mark, as spreadsheet tools save a log, goes before csv sees it
         head = fh.readline().removeprefix("\ufeff")
@@ -161,18 +159,10 @@ def parse_log(path, accepted_labels=DEFAULT_ACCEPTED_LABELS, counters=None):
                     if label not in accepted:
                         skipped += 1
                         continue
-                if sip_cell in nulls:
-                    sip = None
-                else:
-                    sip = addresses.get(sip_cell)
-                    if sip is None:
-                        sip = _address(sip_cell, "sip", addresses)
-                if dip_cell in nulls:
-                    dip = None
-                else:
-                    dip = addresses.get(dip_cell)
-                    if dip is None:
-                        dip = _address(dip_cell, "dip", addresses)
+                sip = (addresses[sip_cell] if sip_cell in addresses
+                       else _address(sip_cell, "sip", addresses))
+                dip = (addresses[dip_cell] if dip_cell in addresses
+                       else _address(dip_cell, "dip", addresses))
                 sport = None if sport_cell in nulls else _port(sport_cell, "sport")
                 dport = None if dport_cell in nulls else _port(dport_cell, "dport")
                 if sip is None and dip is None and sport is None and dport is None:

@@ -735,6 +735,47 @@ def test_pipeline_split_into_fifo_is_usage_error(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([pcap.name, log.name, fifo.name])
 
 
+@pytest.mark.parametrize("how", ["same path", "output directory", "link"])
+@pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
+def test_stats_naming_the_output_is_usage_error(tmp_path, capsys, command, how):
+    # one of the two files would replace the other, so nothing is written
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+    source = flows if command == "label" else pcap
+    inputs = ["-i", str(source)] + (["-c", str(log)] if command != "extract" else [])
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "result.csv"
+    output, stats = target, target
+    if how == "output directory":
+        output = out
+        target = stats = out / (source.stem + ("_result.data" if command == "extract"
+                                               else "_mawilab_flow.csv"))
+    elif how == "link":
+        stats = out / "stats.link"
+        stats.symlink_to(target)
+    assert run(command, *inputs, "-o", str(output), "--stats", str(stats), "--quiet") == 1
+    assert capsys.readouterr().err == f"flowlabel: error: --stats names the output file {target}\n"
+    assert list(out.iterdir()) == ([stats] if how == "link" else [])
+
+
+def test_stats_and_output_both_written_in_place(tmp_path):
+    # /dev/stdout on a pipe takes both, the stats after the flows
+    pcap = small_pcap(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowlabel", "extract", "-i", str(pcap), "-o", "/dev/stdout",
+         "--stats", "/dev/stdout", "--quiet"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    *rows, stats = proc.stdout.splitlines()
+    assert rows[0] == ",".join(TRAFFIC_COLUMNS)
+    assert json.loads(stats)["flows_written"] == len(rows) - 1
+
+
 def test_output_through_a_link_replaces_its_target(tmp_path, capsys, new_file_mode):
     # the output is staged beside the file the link names, so a failed run
     # leaves that file as it was and one that succeeds replaces it; the
@@ -889,6 +930,9 @@ def test_extract_stats_skip_reasons(tmp_path):
     ["pipeline", "-c", "LOG", "-n", "0.0004"],
     ["split", "-n", "1e306"],
     ["pipeline", "-c", "LOG", "-n", "1e306"],
+    ["extract", "--idle-timeout", "0.0004"],
+    ["extract", "--active-timeout", "0.0005"],
+    ["pipeline", "-c", "LOG", "--idle-timeout", "1e-300"],
 ])
 def test_degenerate_numeric_flags_rejected(tmp_path, capsys, argv):
     pcap = small_pcap(tmp_path)

@@ -95,6 +95,19 @@ def test_cli_import_skips_socket(flags):
     """, flags=flags)
 
 
+def test_cli_import_skips_pathlib():
+    # without site (-S), which may preload them: only a split and output
+    # names need pathlib, which brings fnmatch, urllib.parse and ipaddress
+    run("""
+        import sys
+        before = set(sys.modules)
+        import flowlabel.cli
+        new = set(sys.modules) - before
+        unwanted = {"pathlib", "fnmatch", "urllib.parse", "ipaddress"}
+        assert not unwanted & new, sorted(unwanted & new)
+    """, flags=("-S",))
+
+
 def test_addresses_render_as_socket_inet_ntop():
     # IPv4, IPv6, IPv4-mapped and IPv4-compatible text as socket.py gives it
     run("""

@@ -433,7 +433,8 @@ def _spaced(cells):
     return st.tuples(pads, cells, pads).map("".join)
 
 
-_NULL_CELLS = st.sampled_from(["", "null", "NULL", "Null", "nuLL", "nULL", "NuLl"])
+_NULL_CELLS = st.sampled_from(["", "null", "NULL", "Null", "nuLL", "nULL", "NuLl", " null ",
+                               "\tNULL", "  "])
 _GOOD_IPS = st.sampled_from([
     "10.0.0.1", "192.0.2.44", "2001:db8::1", "2001:DB8:0::1", "::1", "::ffff:10.0.0.1",
     "::ffff:a00:1", "::10.0.0.1", "fe80::1%eth0", "fe80::1%1"])
