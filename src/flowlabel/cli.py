@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 
@@ -266,9 +267,18 @@ def cmd_split(args) -> int:
 def cmd_pipeline(args) -> int:
     _require_inputs(args.input, args.classifier)
     out = _resolve_out(args, "_mawilab_flow.csv")
-    if args.window is not None and written_in_place(out):
-        # the split reads the labeled CSV back, which a FIFO or device can't give
-        raise UsageError(f"-n needs a regular output file, not {out}")
+    if args.window is not None:
+        if written_in_place(out):
+            # the split reads the labeled CSV back, which a FIFO or device can't give
+            raise UsageError(f"-n needs a regular output file, not {out}")
+        split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
+        # nor may --stats name a file that a window file of the split would replace
+        stats_file = args.stats and os.path.realpath(args.stats)
+        if (stats_file and not written_in_place(stats_file)
+                and os.path.dirname(stats_file) == os.path.realpath(split_dir)
+                and re.fullmatch(re.escape(file_stem(out)) + r"_w[0-9]{4,}\.csv",
+                                 os.path.basename(stats_file))):
+            raise UsageError(f"--stats names a window file {args.stats}")
     index, log_summary = _load_index(args.classifier, args)
     counters = {}
     # a split needs the least sTime written; noting it spares a read of the output
@@ -282,7 +292,6 @@ def cmd_pipeline(args) -> int:
             _write_stats_lines(stats_path, [
                 _extract_summary(reader, counters, stats.rows, args), *lines])
         if args.window is not None:
-            split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
             created = split_by_window(staged, args.window, split_dir,
                                       min_stime=earliest.stime_ms)
             _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")

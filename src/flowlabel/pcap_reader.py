@@ -13,7 +13,10 @@ more than _MAX_RECORD bytes is refused unbuffered.  The common frame,
 untagged Ethernet carrying an option-less IPv4 first fragment with its
 whole TCP or UDP header, is decoded inline; every other frame goes through
 the general decoder `_decode_frame`, which gives the same result for the
-common frame.
+common frame.  It walks the frame by offsets, as BPF does: the link layer
+gives the IP header's offset (14 plus 4 per tag, 16 for Linux cooked, 0
+for raw IP) and version, the IP header the transport header's, and only
+the key's bytes are copied out.
 Both paths yield the items of `CaptureReader._keyed`, `(ts_ms, key, ip_len,
 tcp_flags, icmp_type, icmp_code)`.  `key` is the packed 5-tuple as one
 bytes object, `src + dst + sport + dport + proto`: 13 bytes for IPv4, 37
@@ -297,89 +300,80 @@ class CaptureReader:
         return None
 
     def _decode_frame(self, ts_ms, data):
+        """The keyed item of one frame, or None once its skip reason is counted."""
         lt = self.linktype
+        size = len(data)
         if lt == LINKTYPE_ETHERNET or lt == LINKTYPE_LINUX_SLL:
-            off = 14 if lt == LINKTYPE_ETHERNET else 16   # the ethertype's end
-            if len(data) < off:
+            ip = 14 if lt == LINKTYPE_ETHERNET else 16   # the ethertype's end
+            if size < ip:
                 return self._skip("short link header")
-            ethertype = int.from_bytes(data[off - 2:off], "big")
-            while lt == LINKTYPE_ETHERNET and ethertype in (_ETH_VLAN, _ETH_QINQ):
-                if len(data) < off + 4:
+            ethertype = data[ip - 2] << 8 | data[ip - 1]
+            while lt == LINKTYPE_ETHERNET and (ethertype == _ETH_VLAN or ethertype == _ETH_QINQ):
+                if size < ip + 4:
                     return self._skip("short link header")
-                ethertype = int.from_bytes(data[off + 2:off + 4], "big")
-                off += 4
-            payload = data[off:]
+                ethertype = data[ip + 2] << 8 | data[ip + 3]
+                ip += 4
+            version = 4 if ethertype == _ETH_IPV4 else 6 if ethertype == _ETH_IPV6 else None
         else:   # raw IP variants
-            if not data:
+            if not size:
                 return self._skip("short link header")
-            version = data[0] >> 4
-            if lt == LINKTYPE_IPV4 or (lt == LINKTYPE_RAW and version == 4):
-                return self._decode_ipv4(ts_ms, data)
-            if lt == LINKTYPE_IPV6 or (lt == LINKTYPE_RAW and version == 6):
-                return self._decode_ipv6(ts_ms, data)
+            ip = 0
+            version = 4 if lt == LINKTYPE_IPV4 else 6 if lt == LINKTYPE_IPV6 else data[0] >> 4
+
+        if version == 4:
+            if size < ip + 20:
+                return self._skip("short IP header")
+            if data[ip] >> 4 != 4:
+                return self._skip("not IP")
+            t = ip + (data[ip] & 0x0F) * 4
+            if t < ip + 20 or size < t:
+                return self._skip("short IP header")
+            first_fragment = not (data[ip + 6] & 0x1F or data[ip + 7])
+            proto = data[ip + 9]
+            ip_len = data[ip + 2] << 8 | data[ip + 3]
+            addrs = data[ip + 12:ip + 20]
+        elif version == 6:
+            if size < ip + 40:
+                return self._skip("short IP header")
+            if data[ip] >> 4 != 6:
+                return self._skip("not IP")
+            proto = data[ip + 6]
+            t = ip + 40
+            first_fragment = True
+            while True:
+                if proto in _IPV6_EXT:
+                    if size < t + 2:
+                        return self._skip("short IP header")
+                    proto, t = data[t], t + (data[t + 1] + 1) * 8
+                elif proto == _IPV6_FRAGMENT:
+                    if size < t + 8:
+                        return self._skip("short IP header")
+                    proto = data[t]
+                    if (data[t + 2] << 8 | data[t + 3]) >> 3:
+                        first_fragment = False
+                    t += 8
+                else:
+                    break
+            if size < t:
+                return self._skip("short IP header")
+            ip_len = 40 + (data[ip + 4] << 8 | data[ip + 5])
+            addrs = data[ip + 8:ip + 40]
+        else:
             return self._skip("not IP")
 
-        if ethertype == _ETH_IPV4:
-            return self._decode_ipv4(ts_ms, payload)
-        if ethertype == _ETH_IPV6:
-            return self._decode_ipv6(ts_ms, payload)
-        return self._skip("not IP")
-
-    def _decode_ipv4(self, ts_ms, buf):
-        if len(buf) < 20:
-            return self._skip("short IP header")
-        if buf[0] >> 4 != 4:
-            return self._skip("not IP")
-        ihl = (buf[0] & 0x0F) * 4
-        if ihl < 20 or len(buf) < ihl:
-            return self._skip("short IP header")
-        first_fragment = not int.from_bytes(buf[6:8], "big") & 0x1FFF
-        return self._decode_transport(ts_ms, buf[12:20], buf[9], int.from_bytes(buf[2:4], "big"),
-                                      buf[ihl:], first_fragment)
-
-    def _decode_ipv6(self, ts_ms, buf):
-        if len(buf) < 40:
-            return self._skip("short IP header")
-        if buf[0] >> 4 != 6:
-            return self._skip("not IP")
-        payload_len = int.from_bytes(buf[4:6], "big")
-        proto = buf[6]
-        off = 40
-        first_fragment = True
-        while True:
-            if proto in _IPV6_EXT:
-                if len(buf) < off + 2:
-                    return self._skip("short IP header")
-                proto, length_units = buf[off], buf[off + 1]
-                off += (length_units + 1) * 8
-            elif proto == _IPV6_FRAGMENT:
-                if len(buf) < off + 8:
-                    return self._skip("short IP header")
-                proto = buf[off]
-                if int.from_bytes(buf[off + 2:off + 4], "big") >> 3:
-                    first_fragment = False
-                off += 8
-            else:
-                break
-        if len(buf) < off:
-            return self._skip("short IP header")
-        return self._decode_transport(ts_ms, buf[8:40], proto, 40 + payload_len,
-                                      buf[off:], first_fragment)
-
-    def _decode_transport(self, ts_ms, addrs, proto, ip_len, seg, first_fragment):
         ports, flags, itype, icode = _NO_PORTS, 0, None, None
         icmp = proto == PROTO_ICMP or proto == PROTO_ICMP6
         if not first_fragment:
             # ports (and the ICMP header) live in the first fragment only
             if icmp:
                 itype = icode = 0
-        elif len(seg) < _TRANSPORT_MIN.get(proto, 0):
+        elif size - t < _TRANSPORT_MIN.get(proto, 0):
             return self._skip("short transport header")
         elif icmp:
-            itype, icode = seg[0], seg[1]
+            itype, icode = data[t], data[t + 1]
         elif proto in _TRANSPORT_MIN:   # TCP or UDP
-            ports = seg[:4]
-            flags = seg[13] if proto == PROTO_TCP else 0
+            ports = data[t:t + 4]
+            flags = data[t + 13] if proto == PROTO_TCP else 0
         return (ts_ms, addrs + ports + _PROTO_BYTE[proto], ip_len, flags, itype, icode)
 
 

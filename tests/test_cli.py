@@ -761,6 +761,28 @@ def test_stats_naming_the_output_is_usage_error(tmp_path, capsys, command, how):
     assert list(out.iterdir()) == ([stats] if how == "link" else [])
 
 
+@pytest.mark.parametrize("how", ["output file", "output directory"])
+def test_stats_naming_a_window_file_is_usage_error(tmp_path, capsys, how):
+    # a window file of the split would replace the stats, so nothing is
+    # written; a name that no window takes is left alone
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    out = tmp_path / "out"
+    out.mkdir()
+    if how == "output file":
+        output, stem, window = out / "labeled.csv", "labeled", "0000"
+    else:
+        output, stem, window = out, "trace_mawilab_flow", "12345"
+    stats = out / f"{stem}_w{window}.csv"
+    argv = ["pipeline", "-i", str(pcap), "-c", str(log), "-o", str(output), "-n", "5", "--quiet"]
+    assert run(*argv, "--stats", str(stats)) == 1
+    assert capsys.readouterr().err == f"flowlabel: error: --stats names a window file {stats}\n"
+    assert list(out.iterdir()) == []
+    stats = out / f"{stem}_w000.csv"
+    assert run(*argv, "--stats", str(stats)) == 0
+    assert json.loads(stats.read_text().splitlines()[0])["kind"] == "extract"
+
+
 def test_stats_and_output_both_written_in_place(tmp_path):
     # /dev/stdout on a pipe takes both, the stats after the flows
     pcap = small_pcap(tmp_path)

@@ -133,9 +133,19 @@ _V6 = ("2001:db8::1", "2001:db8::2")
     (1, pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 1, pc.icmp(8, 0)[:3])),
      "short transport header"),
     (229, pc.ipv6(*_V6, 58, pc.icmp(128, 0)[:3]), "short transport header"),
+    # ethertypes and link types are told apart: an 802.3 length field of
+    # 228 is not IPv4, and a raw link's type overrides the version nibble
+    (1, pc.ethernet(pc.ipv4("10.0.0.1", "10.0.0.2", 17, pc.udp(1, 2)), 228), "not IP"),
+    (228, pc.ipv6(*_V6, 17, pc.udp(1, 2)), "not IP"),
+    (229, pc.ipv4("10.0.0.1", "10.0.0.2", 6, pc.tcp(1, 2, TCP_SYN)), "not IP"),
+    # only Ethernet walks VLAN tags
+    (113, pc.linux_cooked(struct.pack("!HH", 7, pc.ETH_IPV4)
+                          + pc.ipv4("10.0.0.1", "10.0.0.2", 17, pc.udp(1, 2)), pc.ETH_VLAN),
+     "not IP"),
 ], ids=["vlan-tag-cut", "sll-under-16", "raw-empty", "raw-version-5", "ipv6-under-40",
         "ipv6-ext-cut", "ipv6-frag-cut", "ipv6-ext-past-end", "icmp-under-4",
-        "icmpv6-under-4"])
+        "icmpv6-under-4", "ethertype-228", "linktype-228-ipv6", "linktype-229-ipv4",
+        "sll-vlan"])
 def test_each_skip_reason_branch(tmp_path, linktype, frame, reason):
     path = write(tmp_path, pc.pcap([(1, 0, frame)], linktype=linktype))
     with open_capture(path) as reader:
@@ -408,6 +418,13 @@ def test_decode_matches_generator_ground_truth(tmp_path):
         assert rec.proto == want["proto"]
         assert rec.ip_len == want["ip_len"]
         assert rec.tcp_flags == want["tcp_flags"]
+
+
+def test_general_decoder_matches_generator_ground_truth(tmp_path, monkeypatch):
+    # every frame through _decode_frame, whose ports, flags and ip_len the
+    # fast-path differentials check only against the fast path
+    monkeypatch.setattr(pcap_reader, "_FAST_MIN_LEN", float("inf"))
+    test_decode_matches_generator_ground_truth(tmp_path)
 
 
 def test_reading_twice_is_identical(tmp_path):
