@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 
@@ -25,7 +24,7 @@ from ._fileio import file_stem, open_text_write, staged_path, written_in_place
 from .errors import InputFormatError
 from .flow_builder import (DEFAULT_ACTIVE_TIMEOUT_MS, DEFAULT_IDLE_TIMEOUT_MS, MODE_AGGREGATE,
                            MODE_PER_PACKET, AggregationConfig, build_flows)
-from .flow_io import (MILLISECONDS, SECONDS, split_by_window, window_to_ms,
+from .flow_io import (MILLISECONDS, SECONDS, _window_file, split_by_window, window_to_ms,
                       write_flows, write_traffic, read_traffic)
 from .labeler import CLASS_UNSURE, LabelStats, build_index, label_flows
 from .mawilab_log import DEFAULT_ACCEPTED_LABELS, LABEL_NOTICE, parse_log
@@ -49,13 +48,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _timeout_ms(seconds: float) -> int | None:
-    # a timeout too long to count in ms never fires, like inf
-    if seconds <= 0 or not math.isfinite(seconds * 1000):
-        return None
-    return round(seconds * 1000)
-
-
 def _seconds(text: str) -> float:
     """Any number of seconds but NaN."""
     try:
@@ -67,14 +59,17 @@ def _seconds(text: str) -> float:
     return seconds
 
 
-def _timeout(text: str) -> float:
-    """A timeout: 0, negative and inf disable it; any other number must
-    round to at least 1 ms, as one that rounds to 0 would cut at every gap."""
-    seconds = _seconds(text)
-    if _timeout_ms(seconds) == 0:
+def _timeout(text: str) -> int | None:
+    """A timeout in whole ms, or None to disable it: 0, negative and inf
+    do, as does one too long to count in ms, which never fires.  Any other
+    number must round to at least 1 ms, as 0 ms would cut at every gap."""
+    ms = _seconds(text) * 1000
+    if ms <= 0 or not math.isfinite(ms):
+        return None
+    if round(ms) == 0:
         raise argparse.ArgumentTypeError(
             f"timeout must be 0 to disable it or at least 1 ms once rounded, got {text!r}")
-    return seconds
+    return round(ms)
 
 
 def _window_seconds(text: str) -> float:
@@ -87,24 +82,40 @@ def _window_seconds(text: str) -> float:
     return seconds
 
 
-def _require_inputs(*paths):
-    for p in paths:
-        if not os.path.exists(p):
-            raise UsageError(f"input path does not exist: {p}")
-
-
-def _resolve_out(args, suffix: str) -> str:
-    """-o may name a file (used as-is) or an existing directory (the file
-    name is derived from the input, like the original tools did).  --stats
-    may not name the same file, which would replace the other, unless it
-    is written in place, like /dev/stdout."""
-    out = args.output
-    if os.path.isdir(out):
+def _paths(args, suffix, *inputs):
+    """The output file of a run and, if it splits, the directory of its
+    window files.  Each of `inputs`, (flag, path) pairs, must exist.  -o
+    names a file, or an existing directory in which the file name is -i's
+    stem plus `suffix`; for split (no `suffix`) -o is the window files'
+    directory.  No file the run writes (-o, --stats, a window file) may be
+    another of its files, unless it is written in place, like /dev/stdout."""
+    for _flag, path in inputs:
+        if not os.path.exists(path):
+            raise UsageError(f"input path does not exist: {path}")
+    out, split_dir = args.output, None
+    if suffix is None:
+        out, split_dir = None, args.output
+    elif os.path.isdir(out):
         out = os.path.join(out, file_stem(args.input) + suffix)
-    if (args.stats and not written_in_place(out)
-            and os.path.realpath(args.stats) == os.path.realpath(out)):
-        raise UsageError(f"--stats names the output file {out}")
-    return out
+    elif out[-1:] in (os.sep, os.altsep):
+        raise UsageError(f"output directory does not exist: {out}")
+    if out and getattr(args, "window", None) is not None:
+        if written_in_place(out):
+            # the split reads the labeled CSV back, which a FIFO or device can't give
+            raise UsageError(f"-n needs a regular output file, not {out}")
+        split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
+    named = {}   # the real path of each file checked -> what it is
+    for flag, path in (*inputs, ("-o", out), ("--stats", getattr(args, "stats", None))):
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in named and flag in ("-o", "--stats") and not written_in_place(path):
+            raise UsageError(f"{flag} names {named[real]}")
+        if (split_dir and os.path.dirname(real) == os.path.realpath(split_dir)
+                and _window_file(file_stem(out or args.input), os.path.basename(real))):
+            raise UsageError(f"{flag} names a window file {path}")
+        named.setdefault(real, f"the {'output' if flag == '-o' else 'input'} file {path}")
+    return out, split_dir
 
 
 def _progress(flows, reader):
@@ -143,16 +154,9 @@ def _write_stats_lines(path, lines):
 # ---------------------------------------------------------------------------
 # the chain: packets -> flows -> labeled flows -> rows, pulled by the writer
 
-def _unit(args) -> str:
-    return SECONDS if args.sec else MILLISECONDS
-
-
 def _flows(reader, args, counters):
-    cfg = AggregationConfig(
-        mode=args.mode,
-        idle_timeout_ms=_timeout_ms(args.idle_timeout),
-        active_timeout_ms=_timeout_ms(args.active_timeout),
-    )
+    cfg = AggregationConfig(mode=args.mode, idle_timeout_ms=args.idle_timeout,
+                            active_timeout_ms=args.active_timeout)
     flows = build_flows(reader, cfg, counters)
     return flows if args.quiet else _progress(flows, reader)
 
@@ -212,7 +216,7 @@ def _write_labeled(flows, index, log_summary, write_path, out_path, args,
         labeled = (lf for lf in labeled if lf.class_label != CLASS_UNSURE)
     if earliest is not None:
         labeled = earliest.watch(labeled)
-    rows = write_flows(labeled, write_path, _unit(args))
+    rows = write_flows(labeled, write_path, args.unit)
 
     counts = dict(sorted(stats.class_counts.items()))
     _say(args.quiet,
@@ -232,20 +236,18 @@ def _write_labeled(flows, index, log_summary, write_path, out_path, args,
 # subcommands
 
 def cmd_extract(args) -> int:
-    _require_inputs(args.input)
-    out = _resolve_out(args, "_result.data")
+    out, _ = _paths(args, "_result.data", ("-i", args.input))
     counters = {}
     with (open_capture(args.input) as reader, staged_path(out) as staged,
           staged_path(args.stats) as stats_path):
-        rows = write_traffic(_flows(reader, args, counters), staged, _unit(args))
+        rows = write_traffic(_flows(reader, args, counters), staged, args.unit)
         _write_stats_lines(stats_path,
                            [_extract_summary(reader, counters, rows, args, f" -> {out}")])
     return EXIT_OK
 
 
 def cmd_label(args) -> int:
-    _require_inputs(args.input, args.classifier)
-    out = _resolve_out(args, "_mawilab_flow.csv")
+    out, _ = _paths(args, "_mawilab_flow.csv", ("-i", args.input), ("-c", args.classifier))
     index, log_summary = _load_index(args.classifier, args)
     with staged_path(out) as staged, staged_path(args.stats) as stats_path:
         _, lines = _write_labeled(read_traffic(args.input, verbatim=True), index,
@@ -255,7 +257,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_split(args) -> int:
-    _require_inputs(args.input)
+    _paths(args, None, ("-i", args.input))
     created = split_by_window(args.input, args.window, args.output)
     if not created:
         _say(args.quiet, f"flowlabel: {args.input} has no data rows; nothing to split")
@@ -265,20 +267,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    _require_inputs(args.input, args.classifier)
-    out = _resolve_out(args, "_mawilab_flow.csv")
-    if args.window is not None:
-        if written_in_place(out):
-            # the split reads the labeled CSV back, which a FIFO or device can't give
-            raise UsageError(f"-n needs a regular output file, not {out}")
-        split_dir = args.output if os.path.isdir(args.output) else os.path.dirname(out) or "."
-        # nor may --stats name a file that a window file of the split would replace
-        stats_file = args.stats and os.path.realpath(args.stats)
-        if (stats_file and not written_in_place(stats_file)
-                and os.path.dirname(stats_file) == os.path.realpath(split_dir)
-                and re.fullmatch(re.escape(file_stem(out)) + r"_w[0-9]{4,}\.csv",
-                                 os.path.basename(stats_file))):
-            raise UsageError(f"--stats names a window file {args.stats}")
+    out, split_dir = _paths(args, "_mawilab_flow.csv", ("-i", args.input), ("-c", args.classifier))
     index, log_summary = _load_index(args.classifier, args)
     counters = {}
     # a split needs the least sTime written; noting it spares a read of the output
@@ -305,12 +294,13 @@ def _add_extract_options(p):
     p.add_argument("--mode", choices=[MODE_AGGREGATE, MODE_PER_PACKET],
                    default=MODE_AGGREGATE,
                    help="aggregate packets into flows (default) or emit one flow per packet")
-    p.add_argument("--idle-timeout", type=_timeout, default=DEFAULT_IDLE_TIMEOUT_MS / 1000,
+    # a default string goes through `type` too, and --help shows it as it stands
+    p.add_argument("--idle-timeout", type=_timeout, default=str(DEFAULT_IDLE_TIMEOUT_MS // 1000),
                    metavar="SECONDS", help="cut a flow after this long without a packet "
-                                           "(default %(default)g; 0 disables)")
-    p.add_argument("--active-timeout", type=_timeout, default=DEFAULT_ACTIVE_TIMEOUT_MS / 1000,
-                   metavar="SECONDS", help="cut a flow after this total lifetime "
-                                           "(default %(default)g; 0 disables)")
+                                           "(default %(default)s; 0 disables)")
+    p.add_argument("--active-timeout", type=_timeout, metavar="SECONDS",
+                   default=str(DEFAULT_ACTIVE_TIMEOUT_MS // 1000),
+                   help="cut a flow after this total lifetime (default %(default)s; 0 disables)")
 
 
 def _add_label_options(p):
@@ -323,7 +313,7 @@ def _add_label_options(p):
 
 
 def _add_common(p):
-    p.add_argument("--sec", action="store_true",
+    p.add_argument("--sec", action="store_const", const=SECONDS, default=MILLISECONDS, dest="unit",
                    help="flow times in seconds, rather than milliseconds")
     p.add_argument("--quiet", action="store_true", help="suppress progress and summaries")
     p.add_argument("--stats", metavar="PATH", help="write run statistics as JSON lines")

@@ -389,6 +389,12 @@ def window_to_ms(window_s: float) -> int:
     return window_ms
 
 
+def _window_file(stem: str, name: str) -> bool:
+    """Whether a file named `name` has the form of the window files that
+    split_by_window writes for an input whose file stem is `stem`."""
+    return re.fullmatch(re.escape(stem) + r"_w[0-9]{4,}\.csv", name) is not None
+
+
 def split_by_window(input_path, window_s: float, outdir, *,
                     min_stime: int | None = None) -> list[Path]:
     """Split a labeled CSV into per-window files.

@@ -783,6 +783,75 @@ def test_stats_naming_a_window_file_is_usage_error(tmp_path, capsys, how):
     assert json.loads(stats.read_text().splitlines()[0])["kind"] == "extract"
 
 
+@pytest.mark.parametrize("command, flag, named, how", [
+    *(("extract", flag, "-i", how) for flag in ("-o", "--stats") for how in ("path", "link")),
+    *((command, flag, named, how) for command in ("label", "pipeline")
+      for flag in ("-o", "--stats") for named in ("-i", "-c") for how in ("path", "link")),
+    ("pipeline", "-n", "-c", "window"),
+    ("pipeline", "-n", "-i", "window"),
+    ("split", "-o", "-i", "window"),
+])
+def test_output_replacing_an_input_is_usage_error(tmp_path, capsys, command, flag, named, how):
+    # -o or --stats names an input, directly or through a link, or a window
+    # file of the split would take an input's name: the run is refused
+    # before anything is read or written
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows, labeled = tmp_path / "flows.csv", tmp_path / "labeled.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+    assert run("label", "-i", str(flows), "-c", str(log), "-o", str(labeled), "--quiet") == 0
+    argv = {"-i": {"extract": pcap, "pipeline": pcap, "label": flows, "split": labeled}[command],
+            "-c": log, "-o": tmp_path / "out.csv"}
+    if command in ("extract", "split"):
+        del argv["-c"]
+    if how == "path":
+        argv[flag] = argv[named]
+        message = f"{flag} names the input file {argv[named]}"
+    elif how == "link":
+        argv[flag] = tmp_path / "link"
+        argv[flag].symlink_to(argv[named])
+        message = f"{flag} names the input file {argv[named]}"
+    elif command == "pipeline":
+        argv["-n"] = "5"
+        argv[named] = argv[named].rename(tmp_path / "out_w0000.csv")
+        message = f"{named} names a window file {argv[named]}"
+    else:
+        # split's input is a link to a file that its window 0 would replace
+        argv["-o"] = tmp_path / "windows"
+        argv["-o"].mkdir()
+        real = argv["-i"].rename(argv["-o"] / "link_w0000.csv")
+        argv["-i"] = tmp_path / "link.csv"
+        argv["-i"].symlink_to(real)
+        message = f"-i names a window file {argv['-i']}"
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert run(command, *(str(a) for item in argv.items() for a in item), "--quiet") == 1
+    assert capsys.readouterr().err == f"flowlabel: error: {message}\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+
+
+@pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
+def test_output_in_a_missing_directory_is_usage_error(tmp_path, capsys, command):
+    # -o names a directory, by its trailing separator, that does not exist
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+    inputs = {"extract": ["-i", str(pcap)], "label": ["-i", str(flows), "-c", str(log)],
+              "pipeline": ["-i", str(pcap), "-c", str(log)]}[command]
+    newdir = str(tmp_path / "newdir") + os.sep
+    assert run(command, *inputs, "-o", newdir, "--quiet") == 1
+    assert capsys.readouterr().err == f"flowlabel: error: output directory does not exist: {newdir}\n"
+    assert set(tmp_path.iterdir()) == {pcap, log, flows}
+
+
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+def test_help_shows_timeout_defaults(capsys, command):
+    assert run(command, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())   # as wrapped at any width
+    assert "(default 30; 0 disables)" in text
+    assert "(default 1800; 0 disables)" in text
+
+
 def test_stats_and_output_both_written_in_place(tmp_path):
     # /dev/stdout on a pipe takes both, the stats after the flows
     pcap = small_pcap(tmp_path)
