@@ -86,19 +86,26 @@ def _paths(args, suffix, *inputs):
     """The output file of a run and, if it splits, the directory of its
     window files.  Each of `inputs`, (flag, path) pairs, must exist.  -o
     names a file, or an existing directory in which the file name is -i's
-    stem plus `suffix`; for split (no `suffix`) -o is the window files'
-    directory.  No file the run writes (-o, --stats, a window file) may be
+    stem plus `suffix`, and the directory of an -o or --stats file must
+    exist; for split (no `suffix`) -o is the window files' directory, made
+    if need be.  No file the run writes (-o, --stats, a window file) may be
     another of its files, unless it is written in place, like /dev/stdout."""
     for _flag, path in inputs:
         if not os.path.exists(path):
             raise UsageError(f"input path does not exist: {path}")
     out, split_dir = args.output, None
     if suffix is None:
+        if os.path.lexists(out) and not os.path.isdir(out):
+            raise UsageError(f"-o must name a directory: {out}")
         out, split_dir = None, args.output
     elif os.path.isdir(out):
         out = os.path.join(out, file_stem(args.input) + suffix)
     elif out[-1:] in (os.sep, os.altsep):
         raise UsageError(f"output directory does not exist: {out}")
+    for path in (out, getattr(args, "stats", None)):
+        parent = os.path.dirname(path or "")
+        if parent and not os.path.isdir(parent):
+            raise UsageError(f"output directory does not exist: {parent}")
     if out and getattr(args, "window", None) is not None:
         if written_in_place(out):
             # the split reads the labeled CSV back, which a FIFO or device can't give

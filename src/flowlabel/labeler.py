@@ -11,10 +11,12 @@ MatchIndex holds one hash map per non-empty subset of {dip, sip, dport,
 sport} (tuple space search); an entry lives in the map of exactly its
 non-null subset, so entries sharing a slot differ in rank only by row
 order and the earlier row keeps it.  The maps are probed in precedence order, so a
-lookup stops at the first hit.  Per attribute, the index also keeps the
-set of values the log uses: a lookup first takes the flow's presence
-pattern (four set lookups) and probes only the non-empty maps whose
-subset lies inside it.
+lookup stops at the first hit.  The index also keeps the set of
+addresses the log uses as sip or dip: a lookup first takes the flow's
+address pattern (two set lookups) and probes only the non-empty maps
+whose address attributes lie inside it.  Ports do not prune, as their
+sets cost more memory than the probes they save; a map probed in vain
+holds no entry for the flow's port or for its address in that role.
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ class MatchIndex:
         self.size = 0
         # entries that lost their slot to an earlier entry with equal values
         self.shadowed = 0
-        # the dip, sip, dport and sport values the entries use
-        self.values: tuple[set, set, set, set] = (set(), set(), set(), set())
-        # per presence pattern: (projection, table) of each non-empty
-        # table whose mask lies inside the pattern, in precedence order
-        self.probes: tuple[tuple, ...] = ((),) * 16
+        # every address the entries use, as sip or dip
+        self.addresses: set = set()
+        # per address pattern (2 = dst in `addresses`, 1 = src):
+        # (projection, table) of each non-empty table whose address
+        # attributes lie inside the pattern, in precedence order
+        self.probes: tuple[tuple, ...] = ((),) * 4
 
     def __len__(self):
         return self.size
@@ -135,23 +138,17 @@ def build_index(entries) -> MatchIndex:
     and the loser is counted in `shadowed`."""
     index = MatchIndex()
     maps = index.maps
-    dips, sips, dports, sports = index.values
+    addresses = index.addresses
     size = shadowed = 0
     for entry in entries:
         sip, dip, sport, dport = entry[:4]
-        mask = 0
+        mask = (2 if dport is not None else 0) | (1 if sport is not None else 0)
         if dip is not None:
-            mask = 8
-            dips.add(dip)
+            mask |= 8
+            addresses.add(dip)
         if sip is not None:
             mask |= 4
-            sips.add(sip)
-        if dport is not None:
-            mask |= 2
-            dports.add(dport)
-        if sport is not None:
-            mask |= 1
-            sports.add(sport)
+            addresses.add(sip)
         slot = maps[mask]
         key = _PROJECTION[mask](entry)
         current = slot.setdefault(key, entry)
@@ -162,23 +159,23 @@ def build_index(entries) -> MatchIndex:
         size += 1
     index.size = size
     index.shadowed = shadowed
+    # a mask's dip and sip bits (8, 4), shifted by 2, are its address pattern
     index.probes = tuple(
         tuple((_PROJECTION[mask], table) for mask, table in maps.items()
-              if table and mask & pattern == mask)
-        for pattern in range(16))
+              if table and mask >> 2 & pattern == mask >> 2)
+        for pattern in range(4))
     return index
 
 
 def match_flow(index: MatchIndex, key: FlowKey):
     """Winning IdsLogEntry for this flow's four-tuple, or None.  Only the
     four attributes take part; key.proto is ignored.  The tables are
-    probed in precedence order, skipping those keyed on a value the log
+    probed in precedence order, skipping those keyed on an address the log
     never uses, and each holds only the best entry per key, so the first
     hit wins."""
-    src, dst, sport, dport, _proto = key
-    dips, sips, dports, sports = index.values
-    pattern = ((8 if dst in dips else 0) | (4 if src in sips else 0)
-               | (2 if dport in dports else 0) | (1 if sport in sports else 0))
+    src, dst, _sport, _dport, _proto = key
+    addresses = index.addresses
+    pattern = (2 if dst in addresses else 0) | (1 if src in addresses else 0)
     for project, table in index.probes[pattern]:
         entry = table.get(project(key))
         if entry is not None:

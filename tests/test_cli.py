@@ -844,6 +844,42 @@ def test_output_in_a_missing_directory_is_usage_error(tmp_path, capsys, command)
     assert set(tmp_path.iterdir()) == {pcap, log, flows}
 
 
+@pytest.mark.parametrize("flag", ["-o", "--stats"])
+@pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
+def test_output_file_in_a_missing_directory_is_usage_error(tmp_path, capsys, command, flag):
+    # the message names the missing directory, not the hidden file the
+    # output would have been staged in, and nothing is read or made
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+    inputs = {"extract": ["-i", str(pcap)], "label": ["-i", str(flows), "-c", str(log)],
+              "pipeline": ["-i", str(pcap), "-c", str(log)]}[command]
+    nodir = tmp_path / "nodir"
+    outputs = {"-o": tmp_path / "out.csv", "--stats": tmp_path / "stats.jsonl", flag: nodir / "x"}
+    assert run(command, *inputs, *(str(a) for item in outputs.items() for a in item),
+               "--quiet") == 1
+    assert capsys.readouterr().err == f"flowlabel: error: output directory does not exist: {nodir}\n"
+    assert set(tmp_path.iterdir()) == {pcap, log, flows}
+
+
+@pytest.mark.parametrize("kind", ["file", "dangling link"])
+def test_split_output_naming_a_file_is_usage_error(tmp_path, capsys, kind):
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    labeled = tmp_path / "labeled.csv"
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(labeled), "--quiet") == 0
+    out = log
+    if kind == "dangling link":
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "missing")
+    before = log.read_bytes()
+    assert run("split", "-i", str(labeled), "-o", str(out), "--quiet") == 1
+    assert capsys.readouterr().err == f"flowlabel: error: -o must name a directory: {out}\n"
+    assert log.read_bytes() == before
+    assert set(tmp_path.iterdir()) == {pcap, log, labeled, out}
+
+
 @pytest.mark.parametrize("command", ["extract", "pipeline"])
 def test_help_shows_timeout_defaults(capsys, command):
     assert run(command, "--help") == 0

@@ -9,6 +9,7 @@ without the library's masks.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -271,12 +272,16 @@ def test_adding_entries_never_weakens_winner():
 
 
 def presence_pattern(entries, key):
-    """The attributes of `key` whose value some entry uses, as dip/sip/
-    dport/sport bits 8/4/2/1."""
-    used = [{getattr(e, name) for e in entries} - {None}
-            for name in ("dip", "sip", "dport", "sport")]
-    values = (key.dst_ip, key.src_ip, key.dst_port, key.src_port)
-    return sum(bit for bit, u, v in zip((8, 4, 2, 1), used, values) if v in u)
+    """2 when some entry uses `key`'s dst as its sip or dip, plus 1 when
+    one so uses its src."""
+    used = {e.sip for e in entries} | {e.dip for e in entries}
+    return 2 * (key.dst_ip in used) + (key.src_ip in used)
+
+
+def inside(mask, pattern):
+    """Whether a mask's address attributes (dip 8, sip 4) are present in an
+    address pattern (dst 2, src 1); its ports play no part."""
+    return not (mask & 8 and not pattern & 2) and not (mask & 4 and not pattern & 1)
 
 
 def test_presence_filter_probes_only_tables_it_can_hit():
@@ -286,13 +291,14 @@ def test_presence_filter_probes_only_tables_it_can_hit():
     for _round in range(20):
         entries = random_entries(rng, rng.randrange(1, 12), ips[:4], ports[:3])
         index = build_index(entries)
-        for pattern in range(16):
-            expected = [index.maps[m] for m in _MASKS if index.maps[m] and m & ~pattern == 0]
+        assert len(index.probes) == 4
+        for pattern in range(4):
+            expected = [index.maps[m] for m in _MASKS if index.maps[m] and inside(m, pattern)]
             assert [table for _project, table in index.probes[pattern]] == expected
         keys = [FlowKey(rng.choice(ips), rng.choice(ips), rng.choice(ports),
                         rng.choice(ports), 6) for _ in range(50)]
         # a probe list per pattern whose only table answers with the pattern
-        index.probes = tuple(((lambda key: "any", {"any": p}),) for p in range(16))
+        index.probes = tuple(((lambda key: "any", {"any": p}),) for p in range(4))
         for key in keys:
             assert match_flow(index, key) == presence_pattern(entries, key)
 
@@ -371,14 +377,14 @@ def test_first_hit_equals_scan_oracle(entries, keys):
 
 
 def naive_index(entries):
-    """(maps, values, probe masks, size, shadowed) of an index built the
+    """(maps, addresses, probe masks, size, shadowed) of an index built the
     plain way: each entry goes to the table of its presence mask, keyed by
     its non-null values in dip, sip, dport, sport order (the bare value
     when there is one), and the greatest (count, mask, -file_order) of the
     entries claiming a slot keeps it."""
     order = sorted(range(1, 16), key=lambda m: (bin(m).count("1"), m), reverse=True)
     maps = {m: {} for m in order}
-    values = (set(), set(), set(), set())
+    addresses = set()
     shadowed = 0
     for e in entries:
         attrs = (e.dip, e.sip, e.dport, e.sport)
@@ -390,11 +396,9 @@ def naive_index(entries):
             shadowed += 1
         if held is None or -e.file_order > -held.file_order:
             maps[mask][key] = e
-        for used, v in zip(values, attrs):
-            if v is not None:
-                used.add(v)
-    probes = [[m for m in order if maps[m] and m & pattern == m] for pattern in range(16)]
-    return maps, values, probes, len(entries), shadowed
+        addresses.update(v for v in (e.dip, e.sip) if v is not None)
+    probes = [[m for m in order if maps[m] and inside(m, pattern)] for pattern in range(4)]
+    return maps, addresses, probes, len(entries), shadowed
 
 
 def probe_masks(index):
@@ -417,10 +421,45 @@ def test_build_index_matches_naive_index(entries):
     # come before or after the rule it collides with; both orders are run
     for ordered in (entries, entries[::-1]):
         index = build_index(iter(ordered))
-        maps, values, probes, size, shadowed = naive_index(ordered)
+        maps, addresses, probes, size, shadowed = naive_index(ordered)
         assert list(index.maps) == list(maps)
         assert index.maps == maps
         assert all(index.maps[m][k] is e for m in maps for k, e in maps[m].items())
-        assert index.values == values
+        assert index.addresses == addresses
         assert probe_masks(index) == probes
         assert (index.size, index.shadowed) == (size, shadowed)
+
+
+# ---------------------------------------------------------------------------
+# memory held per rule by the index
+
+def test_index_bytes_per_rule():
+    # 4,000 rules, each with a subset mask drawn from 1-15, addresses from a
+    # pool of 1,500 and ports from 1-65535, so most ports occur in one rule
+    # each.  On Python 3.10.13 / 3.11.7 / 3.12.1 / 3.13.0 (this file run
+    # alone) the index held 157.2 / 153.9 / 160.2 / 158.2 B per rule when it
+    # kept a set of the values the log uses per attribute, and holds
+    # 107.2 / 104.0 / 110.2 / 108.3 B with one set of the addresses alone.
+    # The bound lies between.
+    rng = random.Random(20180701)
+    pool = [f"10.{i >> 8}.{i & 255}.{rng.randrange(1, 255)}" for i in range(1500)]
+    rules = []
+    for order in range(4000):
+        mask = rng.randrange(1, 16)
+        rules.append(make_entry(
+            dip=rng.choice(pool) if mask & 8 else None,
+            sip=rng.choice(pool) if mask & 4 else None,
+            dport=rng.randrange(1, 65536) if mask & 2 else None,
+            sport=rng.randrange(1, 65536) if mask & 1 else None,
+            file_order=order))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index = build_index(rules)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(index) == len(rules)
+    assert held / len(rules) < 125
