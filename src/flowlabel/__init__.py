@@ -20,7 +20,7 @@ _EXPORTS = {
     "mawilab_log": ("DEFAULT_ACCEPTED_LABELS", "IdsLogEntry", "parse_log"),
     "labeler": ("CLASS_ANOMALY", "CLASS_NORMAL", "CLASS_UNSURE", "LabelStats",
                 "LabeledFlow", "MatchIndex", "assign_class", "build_index",
-                "label_flows", "label_one", "match_flow"),
+                "label_flows", "match_flow"),
     "flow_io": ("MILLISECONDS", "OUTPUT_COLUMNS", "SECONDS", "TRAFFIC_COLUMNS",
                 "flags_from_string", "flags_to_string", "read_flows",
                 "read_traffic", "split_by_window", "write_flows", "write_traffic"),

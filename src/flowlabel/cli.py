@@ -315,8 +315,6 @@ def _add_label_options(p):
                    help="exclude flows whose best match has only one attribute")
     p.add_argument("--accept-notice", action="store_true",
                    help="also accept log rows labeled notice")
-    # accepted so older command lines still run; labeling is serial
-    p.add_argument("--threads", type=int, metavar="N", help=argparse.SUPPRESS)
 
 
 def _add_common(p):

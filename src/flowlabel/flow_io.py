@@ -205,13 +205,13 @@ def _parse_labeled(row: list[str]) -> LabeledFlow:
 # and sys.set_int_max_str_digits() cannot set its limit any lower
 _INT = "(?:0|-?[1-9][0-9]{0,639})"
 _FLAGS = "F?S?R?P?A?U?E?C?"         # as _FLAG_STRINGS renders it
-_TEXT = r'[^,"\r\n\x00]*'         # a cell csv reads and writes unchanged
+_TEXT = r'[^,"\r\n]*'             # a cell csv reads and writes unchanged
 
 # A traffic line that csv would read as its text split on commas and whose
 # cells 0-7 and 11-22 would be rendered back as they stand: canonical
 # integers and flag strings, times in milliseconds, free text with no `,`,
-# `"`, CR, LF or NUL (csv refuses NUL before Python 3.11).  Groups: cells
-# 0-7 as one text, sIP, dIP, sPort, dPort, proto, sTime, eTime, cells 11-22.
+# `"`, CR or LF.  Groups: cells 0-7 as one text, sIP, dIP, sPort, dPort,
+# proto, sTime, eTime, cells 11-22.
 _VERBATIM_TRAFFIC = re.compile(
     f"(({_TEXT}),({_TEXT}),({_INT}),({_INT}),({_INT}),{_INT},{_INT},{_FLAGS}),"
     f"({_INT}),{_TEXT},({_INT}),"   # durat is derived, not read back
@@ -243,7 +243,7 @@ def _traffic_line(line: str) -> _TrafficLine | None:
 def _window_line(line: str):
     """(sTime, line) for a labeled line that csv would read as its text
     split on commas into 29 cells and write back unchanged; else None."""
-    if ('"' in line or "\r" in line or "\x00" in line or line[-1:] != "\n"
+    if ('"' in line or "\r" in line or line[-1:] != "\n"
             or line.count(",") != len(OUTPUT_COLUMNS) - 1):
         return None
     return _parse_time(line.split(",", _STIME_COL + 1)[_STIME_COL]), line

@@ -187,10 +187,6 @@ def assign_class(winner) -> str:
     return _CLASS_OF_L[0 if winner is None else attribute_count(winner)]
 
 
-def label_one(flow: FlowRecord, index: MatchIndex) -> LabeledFlow:
-    return next(label_flows((flow,), index))
-
-
 def label_flows(flows, index: MatchIndex, stats: LabelStats | None = None):
     """Each flow labeled by its winner, one flow pulled per labeled flow
     yielded, in input order; counts each winner into `stats` when given.

@@ -24,7 +24,7 @@ EXPORTS = [
     "build_flows",
     "DEFAULT_ACCEPTED_LABELS", "IdsLogEntry", "parse_log",
     "CLASS_ANOMALY", "CLASS_NORMAL", "CLASS_UNSURE", "LabelStats", "LabeledFlow",
-    "MatchIndex", "assign_class", "build_index", "label_flows", "label_one", "match_flow",
+    "MatchIndex", "assign_class", "build_index", "label_flows", "match_flow",
     "MILLISECONDS", "OUTPUT_COLUMNS", "SECONDS", "TRAFFIC_COLUMNS", "flags_from_string",
     "flags_to_string", "read_flows", "read_traffic", "split_by_window", "write_flows",
     "write_traffic",
@@ -61,7 +61,6 @@ SIGNATURES = {
     "assign_class": "(winner) -> 'str'",
     "build_index": "(entries) -> 'MatchIndex'",
     "label_flows": "(flows, index: 'MatchIndex', stats: 'LabelStats | None' = None)",
-    "label_one": "(flow: 'FlowRecord', index: 'MatchIndex') -> 'LabeledFlow'",
     "match_flow": "(index: 'MatchIndex', key: 'FlowKey')",
     "flags_from_string": "(text: 'str') -> 'int'",
     "flags_to_string": "(bits: 'int') -> 'str'",
@@ -124,7 +123,6 @@ _EXTRACT = [
 _LABEL = [
     "--drop-unsure: dest=drop_unsure default=False const=True",
     "--accept-notice: dest=accept_notice default=False const=True",
-    "--threads: dest=threads type=int help=SUPPRESS",
 ]
 _COMMON = [
     "--sec: dest=unit default='milliseconds' const='seconds'",

@@ -281,20 +281,6 @@ def test_label_stats_count_shadowed_rules(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_label_threads_match_sequential(tmp_path):
-    pcap = small_pcap(tmp_path)
-    flows_csv = tmp_path / "flows.csv"
-    run("extract", "-i", str(pcap), "-o", str(flows_csv), "--quiet")
-    log = write_log(tmp_path, MIXED_RULE_ROWS)
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    run("label", "-i", str(flows_csv), "-c", str(log), "-o", str(seq),
-        "--threads", "1", "--quiet")
-    run("label", "-i", str(flows_csv), "-c", str(log), "-o", str(par),
-        "--threads", "4", "--quiet")
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_label_bad_log_is_format_error(tmp_path, capsys):
     pcap = small_pcap(tmp_path)
     flows_csv = tmp_path / "flows.csv"

@@ -384,13 +384,12 @@ def test_build_flows_matches_reference_aggregator(mode):
 
 def test_bytes_per_live_flow(tmp_path):
     # 4,000 distinct single-packet TCP and UDP flows with both timeouts off,
-    # so every flow is live when the first one is emitted.  On Python
-    # 3.10-3.13 a live flow held 566-574 B when it was a FlowRecord keyed by
-    # a text FlowKey (with the reader's address cache), 345-348 B as a
-    # 9-slot live record keyed by a (proto, packed addresses and ports)
-    # tuple, and holds 291-294 B (3.10.13: 291.0, 3.11.7 to 3.13.0: 293.5)
-    # keyed by one bytes object.  The bound is 7 % below the lower of the
-    # tuple-keyed figures.
+    # so every flow is live when the first one is emitted.  A live flow held
+    # 566-574 B when it was a FlowRecord keyed by a text FlowKey (with the
+    # reader's address cache), 345-348 B as a 9-slot live record keyed by a
+    # (proto, packed addresses and ports) tuple, and holds 293.5 B on Python
+    # 3.11.7 to 3.13.0 keyed by one bytes object.  The bound is 7 % below
+    # the lower of the tuple-keyed figures.
     n = 4000
     frames = []
     for i in range(n):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowlabel import (CLASS_ANOMALY, CLASS_NORMAL, CLASS_UNSURE, FlowKey,
                        FlowRecord, IdsLogEntry, LabelStats, assign_class,
-                       build_index, label_flows, label_one, match_flow)
+                       build_index, label_flows, match_flow)
 from flowlabel.labeler import _MASKS, _PROJECTION
 
 
@@ -34,6 +34,10 @@ def make_flow(src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=80, proto=6):
     key = FlowKey(src, dst, sport, dport, proto)
     return FlowRecord(key=key, packets=1, bytes=40, flags=0, initial_flags=0,
                       session_flags=0, stime_ms=0, etime_ms=0)
+
+
+def label_one(flow, index):
+    return next(label_flows((flow,), index))
 
 
 def scan_oracle(entries, key):
@@ -436,10 +440,10 @@ def test_build_index_matches_naive_index(entries):
 def test_index_bytes_per_rule():
     # 4,000 rules, each with a subset mask drawn from 1-15, addresses from a
     # pool of 1,500 and ports from 1-65535, so most ports occur in one rule
-    # each.  On Python 3.10.13 / 3.11.7 / 3.12.1 / 3.13.0 (this file run
-    # alone) the index held 157.2 / 153.9 / 160.2 / 158.2 B per rule when it
-    # kept a set of the values the log uses per attribute, and holds
-    # 107.2 / 104.0 / 110.2 / 108.3 B with one set of the addresses alone.
+    # each.  On Python 3.11.7 / 3.12.1 / 3.13.0 (this file run alone) the
+    # index held 153.9 / 160.2 / 158.2 B per rule when it kept a set of the
+    # values the log uses per attribute, and holds 104.0 / 110.2 / 108.3 B
+    # with one set of the addresses alone.
     # The bound lies between.
     rng = random.Random(20180701)
     pool = [f"10.{i >> 8}.{i & 255}.{rng.randrange(1, 255)}" for i in range(1500)]
