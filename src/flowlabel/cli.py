@@ -88,14 +88,18 @@ def _paths(args, suffix, *inputs):
     names a file, or an existing directory in which the file name is -i's
     stem plus `suffix`, and the directory of an -o or --stats file must
     exist; for split (no `suffix`) -o is the window files' directory, made
-    if need be.  No file the run writes (-o, --stats, a window file) may be
-    another of its files, unless it is written in place, like /dev/stdout."""
+    if need be, so the nearest path at or above it must be a directory.
+    No file the run writes (-o, --stats, a window file) may be another of
+    its files, unless it is written in place, like /dev/stdout."""
     for _flag, path in inputs:
         if not os.path.exists(path):
             raise UsageError(f"input path does not exist: {path}")
     out, split_dir = args.output, None
     if suffix is None:
-        if os.path.lexists(out) and not os.path.isdir(out):
+        existing = out
+        while existing and not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
             raise UsageError(f"-o must name a directory: {out}")
         out, split_dir = None, args.output
     elif os.path.isdir(out):

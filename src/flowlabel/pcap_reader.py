@@ -236,7 +236,9 @@ class CaptureReader:
             InputFormatError)
 
     def __iter__(self):
-        # each iterator draws on the one keyed stream, so a second iter() resumes it
+        """PacketRecords, addresses rendered to text (two inet_ntop calls a
+        packet); the CLI and build_flows(reader) read the packed keyed stream.
+        Each iterator draws on that one stream, so a second iter() resumes it."""
         return (PacketRecord(ts_ms, *render(key), *rest) for ts_ms, key, *rest in self._keyed())
 
     def _keyed(self):

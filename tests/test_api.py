@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import json
 import re
+import tomllib
+from pathlib import Path
 
 import flowlabel
 from flowlabel import cli, errors
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPORTS = [
     "AllNullTupleError", "FlowLabelError", "InputFormatError", "MalformedRowError",
@@ -242,3 +247,18 @@ def test_error_hierarchy():
 def test_parsers():
     assert {name: [_action(a) for a in parser._actions]
             for name, parser in _parsers().items()} == PARSERS
+
+
+def test_supported_pythons_agree():
+    # pyproject's floor, the CI matrix and README's version line name the
+    # same Pythons, and CI runs every test on each
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requires = tomllib.load(fh)["project"]["requires-python"]
+    floor = re.fullmatch(r">=(3\.\d+)", requires)[1]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    matrix = json.loads(re.search(r"python-version: (\[.*\])", workflow)[1])
+    first = int(floor.split(".")[1])
+    assert matrix == [f"3.{minor}" for minor in range(first, first + len(matrix))]
+    assert "--ignore" not in workflow
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"Python \((3\.\d+)\+\)", readme) == [floor]
