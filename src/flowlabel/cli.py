@@ -87,7 +87,7 @@ def _paths(args, suffix, *inputs):
     window files.  Each of `inputs`, (flag, path) pairs, must exist.  -o
     names a file, or an existing directory in which the file name is -i's
     stem plus `suffix`, and the directory of an -o or --stats file must
-    exist; for split (no `suffix`) -o is the window files' directory, made
+    be one; for split (no `suffix`) -o is the window files' directory, made
     if need be, so the nearest path at or above it must be a directory.
     No file the run writes (-o, --stats, a window file) may be another of
     its files, unless it is written in place, like /dev/stdout."""
@@ -109,7 +109,8 @@ def _paths(args, suffix, *inputs):
     for path in (out, getattr(args, "stats", None)):
         parent = os.path.dirname(path or "")
         if parent and not os.path.isdir(parent):
-            raise UsageError(f"output directory does not exist: {parent}")
+            raise UsageError(f"not a directory: {parent}" if os.path.lexists(parent)
+                             else f"output directory does not exist: {parent}")
     if out and getattr(args, "window", None) is not None:
         if written_in_place(out):
             # the split reads the labeled CSV back, which a FIFO or device can't give
@@ -201,33 +202,25 @@ def _load_index(log_csv, args):
     }
 
 
-class _Earliest:
-    """The least sTime of the labeled flows passed through watch()."""
-
-    stime_ms = None
-
-    def watch(self, labeled):
-        least = math.inf
-        for lf in labeled:
-            if lf.flow.stime_ms < least:
-                least = lf.flow.stime_ms
-            yield lf
-        if least != math.inf:
-            self.stime_ms = least
-
-
-def _write_labeled(flows, index, log_summary, write_path, out_path, args,
-                   earliest: _Earliest | None = None) -> tuple[LabelStats, list]:
+def _write_labeled(flows, index, log_summary, write_path, out_path,
+                   args) -> tuple[LabelStats, list, int | None]:
     """Label the flow stream and write it to `write_path` (`out_path` is
-    the name reported); returns the stats and their lines.  `earliest`,
-    when given, watches the rows written."""
+    the name reported).  Returns the stats, their lines and the least
+    sTime written: None if no row is, or if neither --drop-unsure nor a
+    split to come puts a step between the labeler and the writer."""
     stats = LabelStats()
     labeled = label_flows(flows, index, stats)
-    if args.drop_unsure:
-        labeled = (lf for lf in labeled if lf.class_label != CLASS_UNSURE)
-    if earliest is not None:
-        labeled = earliest.watch(labeled)
-    rows = write_flows(labeled, write_path, args.unit)
+    least = math.inf
+
+    def kept():
+        nonlocal least
+        for lf in labeled:
+            if not (args.drop_unsure and lf.class_label == CLASS_UNSURE):
+                least = min(least, lf.flow.stime_ms)
+                yield lf
+
+    noted = args.drop_unsure or getattr(args, "window", None) is not None
+    rows = write_flows(kept() if noted else labeled, write_path, args.unit)
 
     counts = dict(sorted(stats.class_counts.items()))
     _say(args.quiet,
@@ -240,7 +233,7 @@ def _write_labeled(flows, index, log_summary, write_path, out_path, args,
          "counts": {str(k): v for k, v in stats.l_histogram.items()}},
         {"kind": "label", "rows_written": rows, "dropped_unsure": stats.rows - rows,
          **log_summary},
-    ]
+    ], None if least == math.inf else least
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +254,23 @@ def cmd_label(args) -> int:
     out, _ = _paths(args, "_mawilab_flow.csv", ("-i", args.input), ("-c", args.classifier))
     index, log_summary = _load_index(args.classifier, args)
     with staged_path(out) as staged, staged_path(args.stats) as stats_path:
-        _, lines = _write_labeled(read_traffic(args.input, verbatim=True), index,
-                                  log_summary, staged, out, args)
+        _, lines, _ = _write_labeled(read_traffic(args.input, verbatim=True), index,
+                                     log_summary, staged, out, args)
         _write_stats_lines(stats_path, lines)
     return EXIT_OK
 
 
+def _split(args, path, split_dir, name, min_stime=None):
+    """Split `path` into `split_dir` and say so; `name` is how the
+    input is reported."""
+    created = split_by_window(path, args.window, split_dir, min_stime=min_stime)
+    _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}" if created
+         else f"flowlabel: {name} has no data rows; nothing to split")
+
+
 def cmd_split(args) -> int:
     _paths(args, None, ("-i", args.input))
-    created = split_by_window(args.input, args.window, args.output)
-    if not created:
-        _say(args.quiet, f"flowlabel: {args.input} has no data rows; nothing to split")
-    else:
-        _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {args.output}")
+    _split(args, args.input, args.output, args.input)
     return EXIT_OK
 
 
@@ -281,20 +278,17 @@ def cmd_pipeline(args) -> int:
     out, split_dir = _paths(args, "_mawilab_flow.csv", ("-i", args.input), ("-c", args.classifier))
     index, log_summary = _load_index(args.classifier, args)
     counters = {}
-    # a split needs the least sTime written; noting it spares a read of the output
-    earliest = _Earliest() if args.window is not None else None
     # the labeled CSV and the stats, staged under their own names, replace
     # theirs only once the split has published the window files
     with staged_path(out) as staged, staged_path(args.stats) as stats_path:
         with open_capture(args.input) as reader:
-            stats, lines = _write_labeled(_flows(reader, args, counters), index,
-                                          log_summary, staged, out, args, earliest)
+            stats, lines, least = _write_labeled(_flows(reader, args, counters), index,
+                                                 log_summary, staged, out, args)
             _write_stats_lines(stats_path, [
                 _extract_summary(reader, counters, stats.rows, args), *lines])
         if args.window is not None:
-            created = split_by_window(staged, args.window, split_dir,
-                                      min_stime=earliest.stime_ms)
-            _say(args.quiet, f"flowlabel: wrote {len(created)} window files to {split_dir}")
+            # the least sTime written spares the split a read of the output
+            _split(args, staged, split_dir, out, least)
     return EXIT_OK
 
 

@@ -262,3 +262,12 @@ def test_supported_pythons_agree():
     assert "--ignore" not in workflow
     readme = (ROOT / "README.md").read_text()
     assert re.findall(r"Python \((3\.\d+)\+\)", readme) == [floor]
+
+
+def test_version_is_written_once():
+    # the package metadata takes its version from flowlabel.__version__
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"] == {"version": {"attr": "flowlabel.__version__"}}

@@ -633,6 +633,50 @@ def test_pipeline_outputs_get_new_file_mode(tmp_path, new_file_mode):
     assert {stat.S_IMODE(p.stat().st_mode) for p in made} == {new_file_mode}
 
 
+def test_pipeline_split_reads_the_labeled_output_once(tmp_path, monkeypatch):
+    # the least sTime written is noted on the way out, so the split reads
+    # the staged labeled CSV once, to write the windows, and never scans it
+    pcap = small_pcap(tmp_path, name="20180701.pcap")
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    real_open, opened = flow_io.open_text_read, []
+
+    def counting_open(path):
+        opened.append(os.path.basename(path))
+        return real_open(path)
+
+    monkeypatch.setattr(flow_io, "open_text_read", counting_open)
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(tmp_path / "out.csv"),
+               "-n", "5", "--quiet") == 0
+    assert opened == ["out.csv"]
+    assert len(list(tmp_path.glob("out_w*.csv"))) == 3
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_pipeline_split_of_no_rows(tmp_path, capsys, quiet):
+    # every flow is unsure and dropped: the split says what split says of
+    # a header-only input, naming the labeled CSV, and writes no window
+    base = 1_530_453_600_000
+    frames = [(*pc.ms_to_sec_us(base + i * 1000),
+               pc.ethernet(pc.ipv4(f"192.0.2.{i + 1}", "198.51.100.5", 6,
+                                   pc.tcp(40000 + i, 80, pc.SYN))))
+              for i in range(20)]
+    pcap = tmp_path / "trace.pcap"
+    pcap.write_bytes(pc.pcap(frames))
+    log = write_log(tmp_path, [",,,80,sYNscan,23,0.7,1,anomalous"])
+    out, stats = tmp_path / "out" / "labeled.csv", tmp_path / "stats.jsonl"
+    out.parent.mkdir()
+    assert run("pipeline", "-i", str(pcap), "-c", str(log), "-o", str(out), "-n", "5",
+               "--drop-unsure", "--stats", str(stats), *(["--quiet"] if quiet else [])) == 0
+    assert capsys.readouterr().err == ("" if quiet else
+        f"flowlabel: 20 flows labeled {{'unsure': 20}}, 0 rows -> {out}\n"
+        "flowlabel: 20 packets decoded (0 skipped), 20 flows\n"
+        f"flowlabel: {out} has no data rows; nothing to split\n")
+    assert out.read_text() == ",".join(OUTPUT_COLUMNS) + "\n"
+    assert list(out.parent.iterdir()) == [out]
+    label = [json.loads(line) for line in stats.read_text().splitlines()][-1]
+    assert (label["kind"], label["rows_written"], label["dropped_unsure"]) == ("label", 0, 20)
+
+
 def test_each_output_is_staged_once(tmp_path, monkeypatch):
     # one staging directory per output file, and one for all window files:
     # the writer of a path staged_path() gave writes it in place
@@ -848,6 +892,31 @@ def test_output_file_in_a_missing_directory_is_usage_error(tmp_path, capsys, com
                "--quiet") == 1
     assert capsys.readouterr().err == f"flowlabel: error: output directory does not exist: {nodir}\n"
     assert set(tmp_path.iterdir()) == {pcap, log, flows}
+
+
+@pytest.mark.parametrize("kind", ["file", "dangling link"])
+@pytest.mark.parametrize("flag", ["-o", "--stats"])
+@pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
+def test_output_file_under_a_file_is_usage_error(tmp_path, capsys, command, flag, kind):
+    # the parent of an -o or --stats file exists but is not a directory:
+    # the message says so, and nothing is read or made
+    pcap = small_pcap(tmp_path)
+    log = write_log(tmp_path, MIXED_RULE_ROWS)
+    flows = tmp_path / "flows.csv"
+    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
+    inputs = {"extract": ["-i", str(pcap)], "label": ["-i", str(flows), "-c", str(log)],
+              "pipeline": ["-i", str(pcap), "-c", str(log)]}[command]
+    top = tmp_path / "h.csv"
+    if kind == "file":
+        top.write_text("kept\n")
+    else:
+        top.symlink_to(tmp_path / "missing")
+    outputs = {"-o": tmp_path / "out.csv", "--stats": tmp_path / "stats.jsonl", flag: top / "x"}
+    assert run(command, *inputs, *(str(a) for item in outputs.items() for a in item),
+               "--quiet") == 1
+    assert capsys.readouterr().err == f"flowlabel: error: not a directory: {top}\n"
+    assert set(tmp_path.iterdir()) == {pcap, log, flows, top}
+    assert kind != "file" or top.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("kind", ["file", "dangling link", "under a file",
