@@ -82,13 +82,20 @@ def _window_seconds(text: str) -> float:
     return seconds
 
 
+def _nearest(path):
+    """The nearest path at or above `path` that exists."""
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return path or os.curdir
+
+
 def _paths(args, suffix, *inputs):
     """The output file of a run and, if it splits, the directory of its
     window files.  Each of `inputs`, (flag, path) pairs, must exist.  -o
     names a file, or an existing directory in which the file name is -i's
-    stem plus `suffix`, and the directory of an -o or --stats file must
-    be one; for split (no `suffix`) -o is the window files' directory, made
-    if need be, so the nearest path at or above it must be a directory.
+    stem plus `suffix`; for split (no `suffix`) -o is the window files'
+    directory, made if need be.  The nearest path that exists at or above
+    each directory written in must be a directory.
     No file the run writes (-o, --stats, a window file) may be another of
     its files, unless it is written in place, like /dev/stdout."""
     for _flag, path in inputs:
@@ -96,10 +103,7 @@ def _paths(args, suffix, *inputs):
             raise UsageError(f"input path does not exist: {path}")
     out, split_dir = args.output, None
     if suffix is None:
-        existing = out
-        while existing and not os.path.lexists(existing):
-            existing = os.path.dirname(existing)
-        if existing and not os.path.isdir(existing):
+        if not os.path.isdir(_nearest(out)):
             raise UsageError(f"-o must name a directory: {out}")
         out, split_dir = None, args.output
     elif os.path.isdir(out):
@@ -109,8 +113,9 @@ def _paths(args, suffix, *inputs):
     for path in (out, getattr(args, "stats", None)):
         parent = os.path.dirname(path or "")
         if parent and not os.path.isdir(parent):
-            raise UsageError(f"not a directory: {parent}" if os.path.lexists(parent)
-                             else f"output directory does not exist: {parent}")
+            existing = _nearest(parent)
+            raise UsageError(f"output directory does not exist: {parent}" if os.path.isdir(existing)
+                             else f"not a directory: {existing}")
     if out and getattr(args, "window", None) is not None:
         if written_in_place(out):
             # the split reads the labeled CSV back, which a FIFO or device can't give
@@ -206,21 +211,20 @@ def _write_labeled(flows, index, log_summary, write_path, out_path,
                    args) -> tuple[LabelStats, list, int | None]:
     """Label the flow stream and write it to `write_path` (`out_path` is
     the name reported).  Returns the stats, their lines and the least
-    sTime written: None if no row is, or if neither --drop-unsure nor a
-    split to come puts a step between the labeler and the writer."""
+    sTime written (None if no row is)."""
     stats = LabelStats()
     labeled = label_flows(flows, index, stats)
-    least = math.inf
+    drop_unsure, least = args.drop_unsure, math.inf
 
     def kept():
         nonlocal least
         for lf in labeled:
-            if not (args.drop_unsure and lf.class_label == CLASS_UNSURE):
-                least = min(least, lf.flow.stime_ms)
+            if not (drop_unsure and lf.class_label == CLASS_UNSURE):
+                if lf.flow.stime_ms < least:
+                    least = lf.flow.stime_ms
                 yield lf
 
-    noted = args.drop_unsure or getattr(args, "window", None) is not None
-    rows = write_flows(kept() if noted else labeled, write_path, args.unit)
+    rows = write_flows(kept(), write_path, args.unit)
 
     counts = dict(sorted(stats.class_counts.items()))
     _say(args.quiet,

@@ -875,31 +875,15 @@ def test_output_in_a_missing_directory_is_usage_error(tmp_path, capsys, command)
     assert set(tmp_path.iterdir()) == {pcap, log, flows}
 
 
-@pytest.mark.parametrize("flag", ["-o", "--stats"])
+@pytest.mark.parametrize("flag,kind", [
+    pytest.param(flag, kind, id=flag if kind == "missing" else f"{flag}-{kind}")
+    for kind in ("missing", "file", "dangling link", "under a file") for flag in ("-o", "--stats")])
 @pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
-def test_output_file_in_a_missing_directory_is_usage_error(tmp_path, capsys, command, flag):
-    # the message names the missing directory, not the hidden file the
-    # output would have been staged in, and nothing is read or made
-    pcap = small_pcap(tmp_path)
-    log = write_log(tmp_path, MIXED_RULE_ROWS)
-    flows = tmp_path / "flows.csv"
-    assert run("extract", "-i", str(pcap), "-o", str(flows), "--quiet") == 0
-    inputs = {"extract": ["-i", str(pcap)], "label": ["-i", str(flows), "-c", str(log)],
-              "pipeline": ["-i", str(pcap), "-c", str(log)]}[command]
-    nodir = tmp_path / "nodir"
-    outputs = {"-o": tmp_path / "out.csv", "--stats": tmp_path / "stats.jsonl", flag: nodir / "x"}
-    assert run(command, *inputs, *(str(a) for item in outputs.items() for a in item),
-               "--quiet") == 1
-    assert capsys.readouterr().err == f"flowlabel: error: output directory does not exist: {nodir}\n"
-    assert set(tmp_path.iterdir()) == {pcap, log, flows}
-
-
-@pytest.mark.parametrize("kind", ["file", "dangling link"])
-@pytest.mark.parametrize("flag", ["-o", "--stats"])
-@pytest.mark.parametrize("command", ["extract", "label", "pipeline"])
-def test_output_file_under_a_file_is_usage_error(tmp_path, capsys, command, flag, kind):
-    # the parent of an -o or --stats file exists but is not a directory:
-    # the message says so, and nothing is read or made
+def test_output_file_in_a_missing_directory_is_usage_error(tmp_path, capsys, command, flag, kind):
+    # the directory of an -o or --stats file is missing, or the nearest
+    # path that exists above the file is not a directory: the message names
+    # the one or the other, not the hidden file the output would have been
+    # staged in, and nothing is read or made
     pcap = small_pcap(tmp_path)
     log = write_log(tmp_path, MIXED_RULE_ROWS)
     flows = tmp_path / "flows.csv"
@@ -907,16 +891,19 @@ def test_output_file_under_a_file_is_usage_error(tmp_path, capsys, command, flag
     inputs = {"extract": ["-i", str(pcap)], "label": ["-i", str(flows), "-c", str(log)],
               "pipeline": ["-i", str(pcap), "-c", str(log)]}[command]
     top = tmp_path / "h.csv"
-    if kind == "file":
+    if kind in ("file", "under a file"):
         top.write_text("kept\n")
-    else:
+    elif kind == "dangling link":
         top.symlink_to(tmp_path / "missing")
-    outputs = {"-o": tmp_path / "out.csv", "--stats": tmp_path / "stats.jsonl", flag: top / "x"}
+    outputs = {"-o": tmp_path / "out.csv", "--stats": tmp_path / "stats.jsonl",
+               flag: top / "sub" / "x" if kind == "under a file" else top / "x"}
     assert run(command, *inputs, *(str(a) for item in outputs.items() for a in item),
                "--quiet") == 1
-    assert capsys.readouterr().err == f"flowlabel: error: not a directory: {top}\n"
-    assert set(tmp_path.iterdir()) == {pcap, log, flows, top}
-    assert kind != "file" or top.read_text() == "kept\n"
+    assert capsys.readouterr().err == (
+        f"flowlabel: error: output directory does not exist: {top}\n" if kind == "missing"
+        else f"flowlabel: error: not a directory: {top}\n")
+    assert set(tmp_path.iterdir()) == {pcap, log, flows} | ({top} if kind != "missing" else set())
+    assert not top.is_file() or top.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("kind", ["file", "dangling link", "under a file",
